@@ -13,7 +13,7 @@ import (
 
 // The -twopointer mode: a machine-readable head-to-head of the sorted
 // incremental grid search against its two-pointer replacement, the
-// benchmark gate for the O(n² log n) → O(n log n + n²) claim. Each cell
+// benchmark gate for the O(n² log n) → O(n log n + k·n) claim. Each cell
 // is measured with testing.Benchmark so ns/op and allocs/op come from
 // the standard benchmark machinery, then the whole grid is written as
 // JSON (BENCH_4.json in the repository root records one such run).

@@ -14,19 +14,18 @@ import (
 )
 
 // Bagged cross-validation bandwidth selection, after Barreiro-Ures, Cao
-// & Francisco-Fernández (arXiv:2105.04134). Every exact selector in this
-// package pays Θ(n²) per sweep, which caps the reachable sample size.
-// Bagging sidesteps the quadratic wall: draw r subsamples of size
-// m ≪ n, run the two-pointer sweep on each bag (Θ(m²) apiece), and
-// aggregate the per-bag winners. Because the CV-optimal bandwidth
-// shrinks like n^(-1/5), a bandwidth selected at sample size m is
-// rescaled to the full sample by the asymptotic factor
+// & Francisco-Fernández (arXiv:2105.04134). The exact selectors pay at
+// least Θ(k·n) per grid (Θ(n²) for all but the two-pointer window
+// sweep). Bagging cuts the sample instead: draw r subsamples of size
+// m ≪ n, run the two-pointer sweep on each bag (O(m log m + k·m)
+// apiece), and aggregate the per-bag winners. Because the CV-optimal
+// bandwidth shrinks like n^(-1/5), a bandwidth selected at sample size
+// m is rescaled to the full sample by the asymptotic factor
 //
 //	h_n = (m/n)^(1/5) · aggregate(h_m⁽¹⁾, …, h_m⁽ʳ⁾)
 //
 // The bags are independent, so the whole selection is embarrassingly
-// parallel and costs Θ(r·m²/workers) — at n = 10⁶ with the default
-// m ≈ 4096 that is milliseconds where the exact sweep would take hours.
+// parallel and costs r bag sweeps divided among the workers.
 //
 // Determinism: subsampling uses math/rand/v2's PCG with a caller-fixed
 // seed, and bag b always draws from the stream rand.NewPCG(seed, b+1)
@@ -159,8 +158,8 @@ func BaggedGridSearch(x, y []float64, g Grid, k kernel.Kind, opt BaggedOptions) 
 
 // BaggedGridSearchContext is BaggedGridSearch with cooperative
 // cancellation: every bag worker polls ctx between bags and the inner
-// sweeps poll it per observation. Cancellation returns ctx.Err() and a
-// zero BaggedResult — never a partial aggregate.
+// sweeps poll it per candidate bandwidth. Cancellation returns
+// ctx.Err() and a zero BaggedResult — never a partial aggregate.
 func BaggedGridSearchContext(ctx context.Context, x, y []float64, g Grid, k kernel.Kind, opt BaggedOptions) (BaggedResult, error) {
 	if err := validateSample(x, y); err != nil {
 		return BaggedResult{}, err

@@ -138,3 +138,69 @@ func FuzzCompensatedSweep(f *testing.F) {
 		}
 	})
 }
+
+// FuzzWindowSweep differentially fuzzes the window sweep (the
+// Epanechnikov and Uniform path of the two-pointer search) against the
+// per-observation sorted sweep, kept as its reference, in both
+// summation modes. On the lattice domain both evaluate the same
+// in-range sets and the moment expansion is exact or nearly so, so
+// they must agree to the conformance Exact class. The seeds cover a
+// smooth lattice sample, heavy duplication in X, and a grid whose
+// bandwidths are exact lattice distances (d == h for whole rings of
+// neighbours, where the denominator is exactly zero).
+func FuzzWindowSweep(f *testing.F) {
+	var sx, sy, dx, dy, bx, by []float64
+	for i := 0; i < 40; i++ {
+		sx = append(sx, float64(i)/16)
+		sy = append(sy, math.Sin(3*float64(i)/16))
+		dx = append(dx, float64(i%4))
+		dy = append(dy, float64(i)/40)
+	}
+	for i := 0; i <= 24; i++ {
+		// Domain 3 and k = 24: DefaultGrid yields h_j = j/8 exactly.
+		bx = append(bx, float64(i)/8)
+		by = append(by, float64(i%3))
+	}
+	f.Add(fuzzLatticeSeed(sx, sy), uint8(10), uint8(0))
+	f.Add(fuzzLatticeSeed(dx, dy), uint8(5), uint8(1))
+	f.Add(fuzzLatticeSeed(bx, by), uint8(22), uint8(0))
+	f.Add(fuzzLatticeSeed(bx, by), uint8(22), uint8(2))
+
+	f.Fuzz(func(t *testing.T, data []byte, kByte, offByte uint8) {
+		x, y := fuzzLatticeDecode(data, 96, offByte)
+		if len(x) < 2 {
+			t.Skip("need two observations")
+		}
+		g, err := DefaultGrid(x, 2+int(kByte)%24)
+		if err != nil {
+			t.Skip("degenerate domain")
+		}
+		ctx := context.Background()
+		const tol = 1e-9
+		for _, k := range []kernel.Kind{kernel.Epanechnikov, kernel.Uniform} {
+			for _, st := range []Stability{Compensated, Uncompensated} {
+				want, err := SortedGridSearchKernelStabilityContext(ctx, x, y, g, k, st)
+				if err != nil {
+					t.Fatalf("sorted reference: %v", err)
+				}
+				got, err := TwoPointerGridSearchKernelStabilityContext(ctx, x, y, g, k, st)
+				if err != nil {
+					t.Fatalf("window sweep: %v", err)
+				}
+				for j := range want.Scores {
+					a, b := want.Scores[j], got.Scores[j]
+					if mathx.IsFinite(a) != mathx.IsFinite(b) || mathx.RelDiff(a, b) > tol {
+						t.Fatalf("%v/%v score %d: sorted %v, window %v (n=%d k=%d)", k, st, j, a, b, len(x), g.Len())
+					}
+				}
+				if got.Index != want.Index {
+					a, b := want.Scores[want.Index], want.Scores[got.Index]
+					if mathx.RelDiff(a, b) > tol {
+						t.Fatalf("%v/%v arg-min %d differs from sorted %d and is no near-tie (%v vs %v)",
+							k, st, got.Index, want.Index, b, a)
+					}
+				}
+			}
+		}
+	})
+}

@@ -2,6 +2,7 @@ package bandwidth
 
 import (
 	"context"
+	"math"
 	"runtime"
 	"sync"
 
@@ -10,26 +11,50 @@ import (
 
 // The two-pointer sorted sweep. The paper's host algorithm (§III,
 // Program 3) sorts each observation's neighbour distances independently,
-// O(n log n) per observation and O(n² log n) total. In one dimension the
-// per-observation sort is redundant: after a single global sort of X,
-// observation i's neighbours ordered by |X_i − X_l| are exactly the merge
-// of two already-sorted runs — positions i−1, i−2, … walking left (their
-// distances X_i − X_l grow monotonically) and positions i+1, i+2, …
-// walking right (likewise). Two pointers enumerate the merged order in
-// O(n) per observation, so the whole grid search costs
-// O(n log n + n·(n + k)) — the "globally sorted data + sliding sum
-// updating" structure of Langrené & Warin (arXiv:1712.00993) applied to
-// the paper's LOO-CV objective. The enumeration feeds the existing
-// per-kernel sweep functions (sorted.go) unchanged: they only require
-// distances ascending, not how that order was produced.
+// O(n log n) per observation and O(n² log n) total. In one dimension a
+// single global sort of X is enough: every in-range neighbour set
+// {l ≠ i : |X_i − X_l| ≤ h} is then a contiguous window of sorted
+// positions, and as i walks the sorted sample both window edges only
+// move right. This is the fixed-bandwidth form of Langrené & Warin's
+// fast sum updating (arXiv:1712.00993).
 //
-// Tie handling: neighbours at equal distance are emitted left-run-first.
-// The per-observation QuickSort is unstable, so the incumbent sorted
-// search's own tie order is already arbitrary; the prefix *multiset* at
-// every bandwidth boundary is identical between the two enumerations
-// (FuzzTwoPointerOrder pins this), and with the default compensated
-// sums the re-association noise between tie orders is far inside the
-// conformance harness's exact-class tolerance.
+// For the Epanechnikov and Uniform kernels each candidate h is scored by
+// its own O(n) window sweep (windowScore), so a whole grid costs
+// O(n log n + k·n). The leave-one-out sums are polynomials in x_i over
+// the window, read from the window moments Σy, Σy·u, Σy·u², Σu, Σu²
+// with u = X_l − a taken about an anchor a. Expanding about a global
+// origin cancels catastrophically when X carries a large offset; a
+// single origin slid every step does too, on small windows. The sweep
+// therefore keeps the window as a left part [lo, p) stored as suffix
+// sums and a right part [p, hi) stored as prefix sums, both about the
+// same anchor, so a window total is one suffix plus one prefix. When lo
+// reaches p the structure flips: a = x_i, p = hi, and both parts are
+// rebuilt. Every element enters at most one right part and one left
+// part per candidate, nothing is ever subtracted from a sum, and
+// |x_i − a| ≤ 2h, so the expansion's terms stay within a small factor
+// of the result.
+//
+// The engine costs a few tens of ns per (observation, candidate) on a
+// 2-core Xeon — several times the merge's cost per neighbour pair — so
+// it loses to the old per-observation merge where k ≳ n/2 and the grid
+// is not sharded (EXPERIMENTS.md). It is used for every k regardless: a
+// shard of the grid sees a smaller k than the whole grid, and the
+// engine choice must not depend on it, or sharded and single-node
+// answers would stop being bit-identical.
+//
+// The window edges use the same float comparisons as the merge
+// enumeration below (X_r − X_i ≤ h on the right, X_i − X_l ≤ h on the
+// left), so the in-range set and boundary ties are unchanged. Each
+// candidate's score depends only on (data, h): that is the bit-identity
+// contract grid sharding relies on, and it holds by construction.
+//
+// The Triangular kernel (|d| has a sign, so it needs half-windows) and
+// the local-linear estimator still merge the left and right neighbour
+// runs of each observation in O(n) (twoPointerFill) and feed the
+// per-observation sweeps of sorted.go: O(n log n + n·(n + k)). The merge
+// emits neighbours at equal distance left-run-first; the prefix
+// multiset at every bandwidth boundary matches the per-observation
+// QuickSort's (FuzzTwoPointerOrder pins this).
 
 // twoPointerFill writes the neighbours of sorted position i into absd
 // and yv, nearest-first, by merging the left and right runs of the
@@ -96,7 +121,7 @@ func twoPointerFillLL(xs, ys []float64, i int, absd, delta, yv []float64) {
 
 // TwoPointerGridSearch runs the two-pointer sorted sweep with the
 // Epanechnikov kernel in double precision: one global sort, then an
-// O(n + k) enumeration + sweep per observation.
+// O(n) window sweep per candidate bandwidth.
 func TwoPointerGridSearch(x, y []float64, g Grid) (Result, error) {
 	return TwoPointerGridSearchKernel(x, y, g, kernel.Epanechnikov)
 }
@@ -109,15 +134,18 @@ func TwoPointerGridSearchKernel(x, y []float64, g Grid, k kernel.Kind) (Result, 
 }
 
 // TwoPointerGridSearchKernelContext is TwoPointerGridSearchKernel with
-// cooperative cancellation, polled once per observation. Cancellation
-// returns ctx.Err() and a zero Result — never a partial selection.
+// cooperative cancellation, polled once per candidate bandwidth (once
+// per observation for the Triangular kernel) — O(n) work either way.
+// Cancellation returns ctx.Err() and a zero Result — never a partial
+// selection.
 func TwoPointerGridSearchKernelContext(ctx context.Context, x, y []float64, g Grid, k kernel.Kind) (Result, error) {
 	return TwoPointerGridSearchKernelStabilityContext(ctx, x, y, g, k, Compensated)
 }
 
 // TwoPointerGridSearchKernelStabilityContext is
 // TwoPointerGridSearchKernelContext with an explicit summation mode for
-// the prefix sums (the same Stability switch as the sorted search).
+// the window moments and prefix sums (the same Stability switch as the
+// sorted search).
 // TwoPointerGridSearchKernelStability is
 // TwoPointerGridSearchKernelStabilityContext without cancellation.
 func TwoPointerGridSearchKernelStability(x, y []float64, g Grid, k kernel.Kind, st Stability) (Result, error) {
@@ -153,6 +181,7 @@ func twoPointerInto(ctx context.Context, x, y []float64, g Grid, k kernel.Kind, 
 	if err := g.Validate(); err != nil {
 		return Result{}, err
 	}
+	// sweepFunc also rejects the kernels without compact support.
 	sweep, err := sweepFunc(k, st)
 	if err != nil {
 		return Result{}, err
@@ -162,9 +191,15 @@ func twoPointerInto(ctx context.Context, x, y []float64, g Grid, k kernel.Kind, 
 	}
 	n := len(x)
 	xs, ys := ws.sortSample(x, y)
+	scores := ws.zeroScores(g.Len())
+	if k != kernel.Triangular {
+		if err := windowScores(ctx, xs, ys, g.H, k == kernel.Uniform, st == Compensated, ws.windowMoments(n), scores); err != nil {
+			return Result{}, err
+		}
+		return Best(g, scores), nil
+	}
 	absd := ws.absd[:n-1]
 	yv := ws.yv[:n-1]
-	scores := ws.zeroScores(g.Len())
 	for i := 0; i < n; i++ {
 		if err := ctx.Err(); err != nil {
 			return Result{}, err
@@ -178,28 +213,30 @@ func twoPointerInto(ctx context.Context, x, y []float64, g Grid, k kernel.Kind, 
 	return Best(g, scores), nil
 }
 
-// TwoPointerGridSearchParallel shards the two-pointer sweep across
-// workers. The single globally sorted sample is shared read-only; each
-// worker owns a pooled workspace (neighbour buffers plus a private
-// score vector, so no two goroutines ever write the same cache line of
-// an accumulator) and the per-shard partials are merged once at the
-// end. workers <= 0 selects runtime.GOMAXPROCS(0) at call time; shard
-// count is clamped to n.
+// TwoPointerGridSearchParallel splits the Epanechnikov window sweep
+// across workers by candidate: the single globally sorted sample is
+// shared read-only, each worker scores a contiguous range of the grid
+// with its own pooled moment buffers, and writes only its own range of
+// the score vector. Each score is computed exactly as the sequential
+// search computes it, so the result is bit-identical to
+// TwoPointerGridSearch for any worker count. workers <= 0 selects
+// runtime.GOMAXPROCS(0) at call time; the worker count is clamped to
+// the grid size.
 func TwoPointerGridSearchParallel(x, y []float64, g Grid, workers int) (Result, error) {
 	return TwoPointerGridSearchParallelContext(context.Background(), x, y, g, workers)
 }
 
 // TwoPointerGridSearchParallelContext is TwoPointerGridSearchParallel
 // with cooperative cancellation: every worker polls ctx once per
-// observation; on cancellation the reduction is skipped and ctx.Err()
-// is returned with a zero Result.
+// candidate bandwidth; on cancellation ctx.Err() is returned with a
+// zero Result.
 func TwoPointerGridSearchParallelContext(ctx context.Context, x, y []float64, g Grid, workers int) (Result, error) {
 	return TwoPointerGridSearchParallelStabilityContext(ctx, x, y, g, workers, Compensated)
 }
 
 // TwoPointerGridSearchParallelStabilityContext is
 // TwoPointerGridSearchParallelContext with an explicit summation mode
-// for the per-worker sweeps.
+// for the window moments.
 // TwoPointerGridSearchParallelStability is
 // TwoPointerGridSearchParallelStabilityContext without cancellation.
 func TwoPointerGridSearchParallelStability(x, y []float64, g Grid, workers int, st Stability) (Result, error) {
@@ -213,67 +250,206 @@ func TwoPointerGridSearchParallelStabilityContext(ctx context.Context, x, y []fl
 	if err := g.Validate(); err != nil {
 		return Result{}, err
 	}
-	sweep, err := sweepFunc(kernel.Epanechnikov, st)
-	if err != nil {
-		return Result{}, err
-	}
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	n := len(x)
-	if workers > n {
-		workers = n
+	n, k := len(x), g.Len()
+	if workers > k {
+		workers = k
 	}
-	k := g.Len()
 	// One global sort, shared read-only by every worker.
-	ws := AcquireWorkspace(n, k)
+	ws := AcquireWorkspace(n, 0)
 	defer ws.Release()
 	xs, ys := ws.sortSample(x, y)
-	partial := make([][]float64, workers)
+	scores := make([]float64, k)
+	errs := make([]error, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			wws := AcquireWorkspace(n, k)
+			wws := AcquireWorkspace(n, 0)
 			defer wws.Release()
-			absd := wws.absd[:n-1]
-			yv := wws.yv[:n-1]
-			scores := wws.zeroScores(k)
-			// Contiguous shards: adjacent observations walk overlapping
-			// neighbour runs, so block assignment keeps each worker's
-			// reads inside one warm region of the shared sorted array.
-			lo := w * n / workers
-			hi := (w + 1) * n / workers
-			for i := lo; i < hi; i++ {
-				if ctx.Err() != nil {
-					return
-				}
-				twoPointerFill(xs, ys, i, absd, yv)
-				sweep(absd, yv, ys[i], g.H, scores)
-			}
-			// Publish the shard's accumulator once, after the loop —
-			// the only write that crosses goroutines before Wait.
-			partial[w] = append([]float64(nil), scores...)
+			lo, hi := w*k/workers, (w+1)*k/workers
+			errs[w] = windowScores(ctx, xs, ys, g.H[lo:hi], false, st == Compensated, wws.windowMoments(n), scores[lo:hi])
 		}(w)
 	}
 	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return Result{}, err
-	}
-	scores := make([]float64, k)
-	for _, p := range partial {
-		for j, v := range p {
-			scores[j] += v
+	for _, err := range errs {
+		if err != nil {
+			return Result{}, err
 		}
 	}
-	for j := range scores {
-		scores[j] /= float64(n)
-	}
 	return Best(g, scores), nil
+}
+
+// windowScores writes the CV score of every bandwidth in hs into the
+// matching element of out, polling ctx once per bandwidth.
+func windowScores(ctx context.Context, xs, ys, hs []float64, uniform, comp bool, m windowMoments, out []float64) error {
+	for j, h := range hs {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		out[j] = windowScore(xs, ys, h, uniform, comp, m) / float64(len(xs))
+	}
+	return nil
+}
+
+// windowMoments are the window sweep's five moment buffers — Σy, Σy·u,
+// Σy·u², Σu and Σu² with u = X − a about the current anchor a, in units
+// of a power of two near h — each of length n+1 (see windowScore for
+// the layout).
+type windowMoments struct {
+	y, yu, yu2, u, u2 []float64
+}
+
+// windowAcc is a running sum that is Neumaier-compensated when comp is
+// set and plain otherwise (c then stays zero). The rounding error of
+// each addition comes from Knuth's branch-free TwoSum, which yields the
+// same exact error term as mathx.NeumaierAccumulator's magnitude
+// branch. It is a value type so the sweep's accumulators stay in
+// registers.
+type windowAcc struct{ s, c float64 }
+
+func (a windowAcc) add(x float64, comp bool) windowAcc {
+	t := a.s + x
+	if comp {
+		xp := t - a.s
+		a.c += (a.s - (t - xp)) + (x - xp)
+	}
+	a.s = t
+	return a
+}
+
+func (a windowAcc) sum() float64 { return a.s + a.c }
+
+// b2i is 1 for true and 0 for false; the compiler emits a SETcc, not a
+// branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// windowScore returns Σ_i r_i², the sum of squared leave-one-out
+// residuals over the sorted sample (xs, ys) at bandwidth h, for the
+// Epanechnikov kernel, or the Uniform kernel when uniform is set.
+// Observations without a positive leave-one-out denominator contribute
+// nothing (the M(X_i) mask). The result depends only on (xs, ys, h,
+// uniform, comp): no state crosses candidates.
+//
+// The window [lo, hi) of observation i is split at p. One buffer per
+// moment, m, holds suffix sums m[j] = Σ_{l ∈ [j, p)} for j < p, zero at
+// p, and prefix sums m[j] = Σ_{l ∈ [p, j)} for j > p, so the window
+// total is m[lo] + m[hi]. A segment is the run of observations that
+// share one anchor a and split p: it starts where lo reaches p and ends
+// before the first i with x_i − x_{p−1} > h. Both halves are built once
+// per segment, so each observation is summed at most twice per
+// candidate.
+//
+//kernvet:bitexact
+func windowScore(xs, ys []float64, h float64, uniform, comp bool, m windowMoments) float64 {
+	n := len(xs)
+	// The moments take distances in units of 2^e, the power of two
+	// with h = f·2^e and f ∈ [0.5, 1): the scaling is exact, and h² = f²
+	// cannot overflow or underflow however large or small h is.
+	f, e := math.Frexp(h)
+	scale := math.Ldexp(1, -e)
+	h2 := f * f
+	lo, hi := 0, 0
+	var score windowAcc
+	for i := 0; i < n; {
+		// Open a segment at i, anchored at a = x_i with the whole
+		// window to the left of p. The bounds lo ≤ i < hi hold by
+		// themselves for finite X; they are enforced so that a NaN or
+		// ±Inf in X yields NaN scores, not an index out of range.
+		a := xs[i]
+		for lo < i && a-xs[lo] > h {
+			lo++
+		}
+		hi = max(hi, i+1)
+		for hi < n && xs[hi]-a <= h {
+			hi++
+		}
+		p := hi
+		end := i + 1
+		for end < n && !(xs[end]-xs[p-1] > h) {
+			end++
+		}
+		hiEnd := p
+		for hiEnd < n && xs[hiEnd]-xs[end-1] <= h {
+			hiEnd++
+		}
+		var sy, syu, syu2, su, su2 windowAcc
+		for j := p - 1; j >= lo; j-- {
+			y, u := ys[j], (xs[j]-a)*scale
+			yu := y * u
+			sy, syu, syu2 = sy.add(y, comp), syu.add(yu, comp), syu2.add(yu*u, comp)
+			su, su2 = su.add(u, comp), su2.add(u*u, comp)
+			m.y[j], m.yu[j], m.yu2[j], m.u[j], m.u2[j] = sy.sum(), syu.sum(), syu2.sum(), su.sum(), su2.sum()
+		}
+		m.y[p], m.yu[p], m.yu2[p], m.u[p], m.u2[p] = 0, 0, 0, 0, 0
+		sy, syu, syu2, su, su2 = windowAcc{}, windowAcc{}, windowAcc{}, windowAcc{}, windowAcc{}
+		for j := p; j < hiEnd; j++ {
+			y, u := ys[j], (xs[j]-a)*scale
+			yu := y * u
+			sy, syu, syu2 = sy.add(y, comp), syu.add(yu, comp), syu2.add(yu*u, comp)
+			su, su2 = su.add(u, comp), su2.add(u*u, comp)
+			m.y[j+1], m.yu[j+1], m.yu2[j+1], m.u[j+1], m.u2[j+1] = sy.sum(), syu.sum(), syu2.sum(), su.sum(), su2.sum()
+		}
+		for ; i < end; i++ {
+			xi := xs[i]
+			// Both edges usually move by 0–3 places per observation.
+			// Counting the first four tests without branching avoids a
+			// mispredicted loop exit on nearly every observation; the
+			// loops finish the rare longer moves.
+			last := n - 1
+			dlo := b2i(xi-xs[lo] > h) + b2i(xi-xs[min(lo+1, last)] > h) +
+				b2i(xi-xs[min(lo+2, last)] > h) + b2i(xi-xs[min(lo+3, last)] > h)
+			lo = min(lo+dlo, i)
+			for lo < i && xi-xs[lo] > h {
+				lo++
+			}
+			dhi := b2i(xs[min(hi, last)]-xi <= h) + b2i(xs[min(hi+1, last)]-xi <= h) +
+				b2i(xs[min(hi+2, last)]-xi <= h) + b2i(xs[min(hi+3, last)]-xi <= h)
+			hi += min(dhi, hiEnd-hi)
+			for hi < hiEnd && xs[hi]-xi <= h {
+				hi++
+			}
+			// Window totals over [lo, hi), self term included: at d = 0
+			// it adds nothing to Σy·d² or Σd², so only the count and Σy
+			// lose it.
+			yi := ys[i]
+			syAll := m.y[lo] + m.y[hi]
+			syLOO := windowAcc{s: m.y[lo]}.add(m.y[hi], comp).add(-yi, comp).sum()
+			cnt := float64(hi - lo - 1)
+			if uniform {
+				if cnt > 0 {
+					r := yi - syLOO/cnt
+					score = score.add(r*r, comp)
+				}
+				continue
+			}
+			// d = u − c with c = x_i − a, so Σw·d² = Σw·u² − c·(2·Σw·u − c·Σw).
+			c := (xi - a) * scale
+			syd2 := (m.yu2[lo] + m.yu2[hi]) - c*(2*(m.yu[lo]+m.yu[hi])-c*syAll)
+			sd2 := (m.u2[lo] + m.u2[hi]) - c*(2*(m.u[lo]+m.u[hi])-c*float64(hi-lo))
+			// num/den of the per-observation sweep, both scaled by h²/0.75
+			// to leave one division. When every neighbour sits at d = h
+			// on a lattice, cnt·h² and Σd² are equal and exact, so the
+			// denominator is exactly zero, as it is there.
+			den := cnt*h2 - sd2
+			if den > 0 {
+				r := yi - (syLOO*h2-syd2)/den
+				score = score.add(r*r, comp)
+			}
+		}
+	}
+	return score.sum()
 }
 
 // TwoPointerGridSearchLocalLinear runs the two-pointer sweep for the

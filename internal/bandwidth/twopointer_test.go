@@ -2,6 +2,7 @@ package bandwidth
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/mathx"
 	"repro/internal/sortx"
+	"repro/internal/stats"
 )
 
 // twoPointerTol bounds the re-association noise between the two-pointer
@@ -74,36 +76,53 @@ func TestTwoPointerMatchesSorted(t *testing.T) {
 	}
 }
 
+// sameBits reports whether two results agree bit for bit: arg-min,
+// CV and every score.
+func sameBits(a, b Result) bool {
+	if a.Index != b.Index || math.Float64bits(a.CV) != math.Float64bits(b.CV) || len(a.Scores) != len(b.Scores) {
+		return false
+	}
+	for j := range a.Scores {
+		if math.Float64bits(a.Scores[j]) != math.Float64bits(b.Scores[j]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestTwoPointerParallelMatchesSequential pins the candidate split:
+// every worker count scores each candidate exactly as the sequential
+// search does, so the results are bit-identical.
 func TestTwoPointerParallelMatchesSequential(t *testing.T) {
 	x, y := tpTestSample(311, 7)
 	g, err := DefaultGrid(x, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := TwoPointerGridSearch(x, y, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{0, 1, 2, 5, 16} {
-		got, err := TwoPointerGridSearchParallel(x, y, g, workers)
+	ctx := context.Background()
+	for _, st := range []Stability{Compensated, Uncompensated} {
+		want, err := TwoPointerGridSearchKernelStabilityContext(ctx, x, y, g, kernel.Epanechnikov, st)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Index != want.Index {
-			t.Errorf("workers=%d: index %d, sequential %d", workers, got.Index, want.Index)
-		}
-		for j := range want.Scores {
-			if mathx.RelDiff(got.Scores[j], want.Scores[j]) > twoPointerTol {
-				t.Errorf("workers=%d: score %d diverges: %g vs %g", workers, j, got.Scores[j], want.Scores[j])
+		for _, workers := range []int{0, 1, 2, 5, 16, 64} {
+			got, err := TwoPointerGridSearchParallelStabilityContext(ctx, x, y, g, workers, st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameBits(got, want) {
+				t.Errorf("%v workers=%d: (index=%d cv=%v), sequential (index=%d cv=%v) — not bit-identical",
+					st, workers, got.Index, got.CV, want.Index, want.CV)
 			}
 		}
 	}
 }
 
-// TestParallelFewerObservationsThanWorkers pins the shard clamp: with
-// n < workers both parallel families must degrade to at most n shards
-// (empty shards are fine, out-of-range ones are not) and still agree
-// with the sequential search.
+// TestParallelFewerObservationsThanWorkers pins the worker clamps: with
+// n < workers both parallel families must still agree with their
+// sequential search — sorted-parallel (observation shards, clamped to n)
+// within twoPointerTol, twopointer-parallel (candidate shards, clamped
+// to k) bit for bit.
 func TestParallelFewerObservationsThanWorkers(t *testing.T) {
 	x := []float64{0.9, 0.1, 0.5}
 	y := []float64{1, 2, 0}
@@ -115,17 +134,187 @@ func TestParallelFewerObservationsThanWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, run := range map[string]func() (Result, error){
-		"sorted-parallel":     func() (Result, error) { return SortedGridSearchParallel(x, y, g, 8) },
-		"twopointer-parallel": func() (Result, error) { return TwoPointerGridSearchParallel(x, y, g, 8) },
-	} {
-		got, err := run()
-		if err != nil {
-			t.Fatalf("%s with workers > n: %v", name, err)
+	got, err := SortedGridSearchParallel(x, y, g, 8)
+	if err != nil {
+		t.Fatalf("sorted-parallel with workers > n: %v", err)
+	}
+	if got.Index != want.Index || mathx.RelDiff(got.CV, want.CV) > twoPointerTol {
+		t.Errorf("sorted-parallel: (index=%d cv=%g), sequential (index=%d cv=%g)",
+			got.Index, got.CV, want.Index, want.CV)
+	}
+	want, err = TwoPointerGridSearch(x, y, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err = TwoPointerGridSearchParallel(x, y, g, 8)
+	if err != nil {
+		t.Fatalf("twopointer-parallel with workers > n: %v", err)
+	}
+	if !sameBits(got, want) {
+		t.Errorf("twopointer-parallel: (index=%d cv=%v), sequential (index=%d cv=%v) — not bit-identical",
+			got.Index, got.CV, want.Index, want.CV)
+	}
+}
+
+// TestWindowSubGridBitIdentical pins the per-candidate independence the
+// coordinator's grid sharding relies on: for random contiguous splits
+// of a grid, the window sweep's scores on each sub-grid equal, bit for
+// bit, the same slice of the full-grid scores.
+func TestWindowSubGridBitIdentical(t *testing.T) {
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(5))
+	x, y := tpTestSample(401, 9)
+	g, err := DefaultGrid(x, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []kernel.Kind{kernel.Epanechnikov, kernel.Uniform} {
+		for _, st := range []Stability{Compensated, Uncompensated} {
+			full, err := TwoPointerGridSearchKernelStabilityContext(ctx, x, y, g, k, st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for trial := 0; trial < 8; trial++ {
+				// Cut points 0 = c_0 < c_1 < … < c_m = k.
+				cuts := []int{0}
+				for c := 1 + rng.Intn(9); c < g.Len(); c += 1 + rng.Intn(17) {
+					cuts = append(cuts, c)
+				}
+				cuts = append(cuts, g.Len())
+				for s := 1; s < len(cuts); s++ {
+					lo, hi := cuts[s-1], cuts[s]
+					sub, err := TwoPointerGridSearchKernelStabilityContext(ctx, x, y, Grid{H: g.H[lo:hi]}, k, st)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for j, v := range sub.Scores {
+						if math.Float64bits(v) != math.Float64bits(full.Scores[lo+j]) {
+							t.Fatalf("%v/%v sub-grid [%d,%d): score %d is %v, full grid %v",
+								k, st, lo, hi, lo+j, v, full.Scores[lo+j])
+						}
+					}
+				}
+			}
 		}
-		if got.Index != want.Index || mathx.RelDiff(got.CV, want.CV) > twoPointerTol {
-			t.Errorf("%s: (index=%d cv=%g), sequential (index=%d cv=%g)",
-				name, got.Index, got.CV, want.Index, want.CV)
+	}
+}
+
+// windowAccuracyCase is one shape on which an expansion of the window
+// moments about a fixed origin would cancel.
+type windowAccuracyCase struct {
+	name string
+	x, y []float64
+	g    Grid
+}
+
+func windowAccuracyCases(t *testing.T, n int, seed int64) []windowAccuracyCase {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	uniform := func(off float64) []float64 {
+		x := make([]float64, n)
+		for i := range x {
+			x[i] = off + rng.Float64()
+		}
+		return x
+	}
+	grid := func(x []float64, k int) Grid {
+		g, err := DefaultGrid(x, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	var cases []windowAccuracyCase
+
+	// Offset X: every x near 10⁶, so x² carries twelve digits the
+	// bandwidth-scale distances do not.
+	x := uniform(1e6)
+	y := make([]float64, n)
+	for i := range y {
+		y[i] = math.Sin(4*(x[i]-1e6)) + 0.1*rng.NormFloat64()
+	}
+	cases = append(cases, windowAccuracyCase{"offset-x", x, y, grid(x, 24)})
+
+	// Tiny h: windows of zero to a few neighbours, near-boundary
+	// denominators, and a flip on almost every observation.
+	x = uniform(0)
+	y = make([]float64, n)
+	for i := range y {
+		y[i] = math.Sin(4*x[i]) + 0.1*rng.NormFloat64()
+	}
+	r := stats.Range(x)
+	g, err := NewGrid(r/2400, r/10, 24)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases = append(cases, windowAccuracyCase{"tiny-h", x, y, g})
+
+	// Offset Y and cancelling Y: the stability battery's shapes.
+	x = uniform(0)
+	y = make([]float64, n)
+	for i := range y {
+		y[i] = 100 + math.Sin(4*x[i]) + 0.1*rng.NormFloat64()
+	}
+	cases = append(cases, windowAccuracyCase{"offset-y", x, y, grid(x, 24)})
+	x = uniform(0)
+	y = make([]float64, n)
+	for i := range y {
+		y[i] = 100 * (1 + 0.01*rng.NormFloat64())
+		if i%2 == 1 {
+			y[i] = -y[i]
+		}
+	}
+	cases = append(cases, windowAccuracyCase{"cancelling-y", x, y, grid(x, 24)})
+	return cases
+}
+
+// TestWindowSweepAccuracy holds the window sweep to the conformance
+// Exact class (same arg-min, relative score difference ≤ 1e-9) against
+// the naive O(k·n²) oracle on the shapes where an un-anchored moment
+// expansion cancels. To bound the oracle's cost, Uniform runs on every
+// third candidate, and n = 10,000 runs only without -short, on two
+// candidates with the Epanechnikov kernel.
+func TestWindowSweepAccuracy(t *testing.T) {
+	const exactTol = 1e-9
+	sizes := []int{2000}
+	if !testing.Short() {
+		sizes = append(sizes, 10000)
+	}
+	for _, n := range sizes {
+		for _, c := range windowAccuracyCases(t, n, int64(n)) {
+			c, n := c, n
+			t.Run(fmt.Sprintf("%s/n=%d", c.name, n), func(t *testing.T) {
+				t.Parallel()
+				ctx := context.Background()
+				runs := []struct {
+					k kernel.Kind
+					g Grid
+				}{{kernel.Epanechnikov, c.g}, {kernel.Uniform, Grid{H: []float64{c.g.H[0], c.g.H[3], c.g.H[6], c.g.H[9], c.g.H[12], c.g.H[15], c.g.H[18], c.g.H[21]}}}}
+				if n > 2000 {
+					runs = runs[:1]
+					runs[0].g = Grid{H: []float64{c.g.H[0], c.g.H[11]}}
+				}
+				for _, r := range runs {
+					want, err := NaiveGridSearchContext(ctx, c.x, c.y, r.g, r.k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := TwoPointerGridSearchKernelContext(ctx, c.x, c.y, r.g, r.k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got.Index != want.Index {
+						t.Errorf("%v: arg-min %d, naive %d", r.k, got.Index, want.Index)
+					}
+					var worst float64
+					for j := range want.Scores {
+						worst = math.Max(worst, mathx.RelDiff(got.Scores[j], want.Scores[j]))
+					}
+					if worst > exactTol {
+						t.Errorf("%v: worst relative score difference %.3g > %g", r.k, worst, exactTol)
+					}
+				}
+			})
 		}
 	}
 }
@@ -258,4 +447,56 @@ func FuzzTwoPointerOrder(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestWindowSweepNonFiniteX pins the window sweep's index bounds: a NaN
+// or ±Inf in X (which the public entry points reject before this layer)
+// must give a result, never an index-out-of-range panic.
+func TestWindowSweepNonFiniteX(t *testing.T) {
+	g, err := NewGrid(0.1, 2, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, pos := range []int{0, 3, 7} {
+			x := []float64{0.1, 0.4, 0.5, 0.9, 1.3, 1.4, 2.2, 2.5}
+			y := []float64{1, 0, 2, 1, 3, 2, 0, 1}
+			x[pos] = bad
+			for _, k := range []kernel.Kind{kernel.Epanechnikov, kernel.Uniform} {
+				if _, err := TwoPointerGridSearchKernel(x, y, g, k); err != nil {
+					t.Errorf("x[%d]=%v %v: %v", pos, bad, k, err)
+				}
+			}
+			if _, err := TwoPointerGridSearchParallel(x, y, g, 3); err != nil {
+				t.Errorf("x[%d]=%v parallel: %v", pos, bad, err)
+			}
+		}
+	}
+}
+
+// TestWindowSweepExtremeBandwidths pins the power-of-two scaling of the
+// window moments: at h = 1e±200, h² overflows or underflows, yet the
+// sweep must still agree with the naive oracle — the leave-one-out mean
+// of all neighbours at the huge bandwidth, of the duplicates at the tiny
+// one.
+func TestWindowSweepExtremeBandwidths(t *testing.T) {
+	x, y := tpTestSample(97, 13)
+	g := Grid{H: []float64{1e-200, 1e-10, 0.5, 1e200}}
+	ctx := context.Background()
+	for _, k := range []kernel.Kind{kernel.Epanechnikov, kernel.Uniform} {
+		want, err := NaiveGridSearchContext(ctx, x, y, g, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := TwoPointerGridSearchKernelContext(ctx, x, y, g, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := range want.Scores {
+			a, b := want.Scores[j], got.Scores[j]
+			if !mathx.IsFinite(b) || mathx.RelDiff(a, b) > 1e-9 {
+				t.Errorf("%v h=%g: naive %v, window %v", k, g.H[j], a, b)
+			}
+		}
+	}
 }

@@ -8,9 +8,10 @@ import (
 )
 
 // Pooled scratch workspaces for the two-pointer sweeps. A selection at
-// sample size n and grid size k needs five O(n) buffers (the globally
-// sorted copies of X and Y plus the per-observation neighbour buffers)
-// and two O(k) buffers (the score accumulator and, for the pooled
+// sample size n and grid size k needs seven O(n) buffers (the globally
+// sorted copies of X and Y plus the per-observation neighbour buffers,
+// which double as the window sweep's moment buffers) and two O(k)
+// buffers (the score accumulator and, for the pooled
 // kernreg fast path, the grid itself). Allocating them per call makes
 // every selection pay several make()s; under kernregd's steady traffic
 // the same sizes recur constantly, so the workspaces are recycled
@@ -67,7 +68,9 @@ type Workspace struct {
 	xs, ys []float64
 	// absd, yv, delta are the per-observation neighbour buffers
 	// (distance, Y payload, and signed δ for the local-linear sweep).
-	absd, yv, delta []float64
+	// The window sweep uses them, with su and su2, as its five moment
+	// buffers (windowMoments).
+	absd, yv, delta, su, su2 []float64
 	// scores is the CV accumulator; gridH backs the pooled grid of the
 	// zero-allocation kernreg path.
 	scores, gridH []float64
@@ -82,12 +85,17 @@ func AcquireWorkspace(n, k int) *Workspace {
 	if ws == nil {
 		poolMisses.Add(1)
 		m := 1 << c
+		// The window sweep's moment buffers need one slot past the
+		// sample; xs keeps exactly m, which Release reads back as the
+		// class.
 		ws = &Workspace{
 			xs:    make([]float64, 0, m),
 			ys:    make([]float64, 0, m),
-			absd:  make([]float64, 0, m),
-			yv:    make([]float64, 0, m),
-			delta: make([]float64, 0, m),
+			absd:  make([]float64, 0, m+1),
+			yv:    make([]float64, 0, m+1),
+			delta: make([]float64, 0, m+1),
+			su:    make([]float64, 0, m+1),
+			su2:   make([]float64, 0, m+1),
 		}
 	} else {
 		poolHits.Add(1)
@@ -130,6 +138,14 @@ func (ws *Workspace) zeroScores(k int) []float64 {
 		s[j] = 0
 	}
 	return s
+}
+
+// windowMoments returns the window sweep's moment buffers, each of
+// length n+1. Three alias the neighbour buffers, which the window sweep
+// does not otherwise use.
+func (ws *Workspace) windowMoments(n int) windowMoments {
+	n++
+	return windowMoments{y: ws.yv[:n], yu: ws.delta[:n], yu2: ws.absd[:n], u: ws.su[:n], u2: ws.su2[:n]}
 }
 
 // sortSample copies x and y into the workspace and co-sorts them by X

@@ -281,8 +281,8 @@ func decodeSelectRequest(body io.Reader, cfg Config) (*SelectRequest, []kernreg.
 }
 
 // maxBags bounds the subsample count a single request can ask for —
-// each bag is a full Θ(m²) sweep, so bags multiplies compute the same
-// way n² does and needs its own admission limit.
+// each bag is a full two-pointer sweep, so bags multiplies compute the
+// same way n does and needs its own admission limit.
 const maxBags = 256
 
 // decodeFitPredictRequest parses and validates a /v1/fit-predict body.

@@ -56,22 +56,28 @@ const (
 	// memory.
 	MethodGPUTiled
 	// MethodTwoPointer replaces the per-observation sorts of
-	// MethodSorted with one global sort plus a two-pointer neighbour
-	// merge per observation: O(n log n + n·(n+k)) total instead of
-	// O(n² log n), same objective, same grid.
+	// MethodSorted with one global sort. For the Epanechnikov and
+	// Uniform kernels each candidate bandwidth is then scored by an
+	// O(n) sweep of two monotone window pointers over anchored window
+	// moments: O(n log n + k·n) total instead of O(n² log n), same
+	// objective, same grid. Each candidate's score depends only on the
+	// data and that bandwidth. At tens of ns per (observation,
+	// candidate) it is slower than the old Θ(n²) neighbour merge once
+	// k ≳ n/2 on one node. The Triangular kernel still merges each
+	// observation's neighbours: O(n log n + n·(n+k)).
 	MethodTwoPointer
-	// MethodTwoPointerParallel shards the two-pointer sweep across
-	// goroutines over the single shared sorted sample.
+	// MethodTwoPointerParallel splits the two-pointer window sweep
+	// across goroutines by candidate bandwidth, over the single shared
+	// sorted sample; it is bit-identical to MethodTwoPointer.
 	MethodTwoPointerParallel
 	// MethodTwoPointerF32 is the single-precision two-pointer variant:
 	// Program 3's arithmetic with the global-sort enumeration.
 	MethodTwoPointerF32
 	// MethodBagged bags the two-pointer search over r subsamples of
 	// size m (Barreiro-Ures, Cao & Francisco-Fernández,
-	// arXiv:2105.04134): each bag runs an exact Θ(m²) sweep, the mean
-	// winner is rescaled by (m/n)^(1/5), and the whole selection costs
-	// Θ(r·m²) — reaching million-point samples the exact selectors
-	// cannot. Configure with Bags, BagSize and Seed; with BagSize(n)
+	// arXiv:2105.04134): each bag runs an exact two-pointer sweep,
+	// the mean winner is rescaled by (m/n)^(1/5), and the whole
+	// selection costs r bag sweeps of O(m log m + k·m) each. Configure with Bags, BagSize and Seed; with BagSize(n)
 	// (or n ≤ 512 under the defaults) it degenerates to MethodTwoPointer
 	// bit-identically.
 	MethodBagged

@@ -10,8 +10,8 @@ import (
 
 // BenchmarkTwoPointerVsSorted is the head-to-head the two-pointer sweep
 // must win: the paper's sorted incremental search (per-observation
-// QuickSort, O(n² log n)) against the global-sort two-pointer merge
-// (O(n log n + n·(n + k))) on identical data and grids. ReportAllocs
+// QuickSort, O(n² log n)) against the global-sort two-pointer window
+// sweep (O(n log n + k·n)) on identical data and grids. ReportAllocs
 // makes the allocation story part of the result — the sorted path
 // allocates its argsort scratch per call, the two-pointer path runs out
 // of pooled workspaces.
