@@ -40,7 +40,7 @@ func main() {
 func run() int {
 	var (
 		addr         = flag.String("addr", ":8080", "listen address")
-		workers      = flag.Int("workers", 0, "selector worker goroutines (0 = GOMAXPROCS)")
+		workers      = flag.Int("workers", 0, "selector worker goroutines, bounding in-flight selections; one twopointer selection may use up to GOMAXPROCS goroutines (0 = GOMAXPROCS)")
 		queue        = flag.Int("queue", 0, "admission queue depth beyond in-flight (0 = 2×workers)")
 		timeout      = flag.Duration("timeout", 30*time.Second, "per-request compute deadline")
 		drainTimeout = flag.Duration("drain-timeout", 60*time.Second, "graceful shutdown budget")

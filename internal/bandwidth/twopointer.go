@@ -5,6 +5,7 @@ import (
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/kernel"
 )
@@ -36,17 +37,26 @@ import (
 //
 // The engine costs a few tens of ns per (observation, candidate) on a
 // 2-core Xeon — several times the merge's cost per neighbour pair — so
-// it loses to the old per-observation merge where k ≳ n/2 and the grid
-// is not sharded (EXPERIMENTS.md). It is used for every k regardless: a
-// shard of the grid sees a smaller k than the whole grid, and the
-// engine choice must not depend on it, or sharded and single-node
-// answers would stop being bit-identical.
+// on one core it loses to the old per-observation merge where k ≳ n/2
+// and the grid is not sharded (EXPERIMENTS.md). It is used for every k
+// regardless: a shard of the grid sees a smaller k than the whole grid,
+// and the engine choice must not depend on it, or sharded and
+// single-node answers would stop being bit-identical.
 //
 // The window edges use the same float comparisons as the merge
 // enumeration below (X_r − X_i ≤ h on the right, X_i − X_l ≤ h on the
 // left), so the in-range set and boundary ties are unchanged. Each
 // candidate's score depends only on (data, h): that is the bit-identity
 // contract grid sharding relies on, and it holds by construction.
+//
+// The same independence lets one selection use every core, the host
+// analogue of the paper's one-device-thread-per-observation scoring
+// (§III): after the global sort, the allocating entry points share the
+// grid between the calling goroutine and up to GOMAXPROCS − 1 helpers,
+// each claiming the next candidate from one atomic counter
+// (windowScores). Which goroutine scores a candidate changes nothing in
+// its arithmetic, so the split is bit-identical to the sequential
+// TwoPointerGridSearchInto for any worker count and interleaving.
 //
 // The Triangular kernel (|d| has a sign, so it needs half-windows) and
 // the local-linear estimator still merge the left and right neighbour
@@ -121,7 +131,8 @@ func twoPointerFillLL(xs, ys []float64, i int, absd, delta, yv []float64) {
 
 // TwoPointerGridSearch runs the two-pointer sorted sweep with the
 // Epanechnikov kernel in double precision: one global sort, then an
-// O(n) window sweep per candidate bandwidth.
+// O(n) window sweep per candidate bandwidth, the candidates shared
+// across up to GOMAXPROCS goroutines.
 func TwoPointerGridSearch(x, y []float64, g Grid) (Result, error) {
 	return TwoPointerGridSearchKernel(x, y, g, kernel.Epanechnikov)
 }
@@ -145,7 +156,8 @@ func TwoPointerGridSearchKernelContext(ctx context.Context, x, y []float64, g Gr
 // TwoPointerGridSearchKernelStabilityContext is
 // TwoPointerGridSearchKernelContext with an explicit summation mode for
 // the window moments and prefix sums (the same Stability switch as the
-// sorted search).
+// sorted search). It is TwoPointerGridSearchParallelStabilityContext
+// with workers = 0.
 // TwoPointerGridSearchKernelStability is
 // TwoPointerGridSearchKernelStabilityContext without cancellation.
 func TwoPointerGridSearchKernelStability(x, y []float64, g Grid, k kernel.Kind, st Stability) (Result, error) {
@@ -153,9 +165,30 @@ func TwoPointerGridSearchKernelStability(x, y []float64, g Grid, k kernel.Kind, 
 }
 
 func TwoPointerGridSearchKernelStabilityContext(ctx context.Context, x, y []float64, g Grid, k kernel.Kind, st Stability) (Result, error) {
+	return TwoPointerGridSearchParallelStabilityContext(ctx, x, y, g, k, 0, st)
+}
+
+// TwoPointerGridSearchParallelStabilityContext is the search behind
+// every allocating two-pointer entry point:
+// TwoPointerGridSearchKernelStabilityContext with a cap on the
+// goroutines that share the window sweep's grid (windowScores).
+// workers <= 0 selects runtime.GOMAXPROCS(0) at call time, and the
+// result is bit-identical for any cap. The Triangular kernel runs the
+// sequential merge and ignores workers.
+// TwoPointerGridSearchParallelStability is
+// TwoPointerGridSearchParallelStabilityContext without cancellation.
+func TwoPointerGridSearchParallelStability(x, y []float64, g Grid, k kernel.Kind, workers int, st Stability) (Result, error) {
+	return TwoPointerGridSearchParallelStabilityContext(context.Background(), x, y, g, k, workers, st)
+}
+
+//kernvet:bitexact
+func TwoPointerGridSearchParallelStabilityContext(ctx context.Context, x, y []float64, g Grid, k kernel.Kind, workers int, st Stability) (Result, error) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	ws := AcquireWorkspace(len(x), g.Len())
 	defer ws.Release()
-	r, err := twoPointerInto(ctx, x, y, g, k, st, ws)
+	r, err := twoPointerInto(ctx, x, y, g, k, st, ws, workers)
 	if err != nil {
 		return Result{}, err
 	}
@@ -168,13 +201,16 @@ func TwoPointerGridSearchKernelStabilityContext(ctx context.Context, x, y []floa
 // TwoPointerGridSearchInto is the zero-allocation entry point: every
 // scratch slice, including the score vector, lives in ws, so a caller
 // that acquires ws once (or pools it) performs no heap allocation per
-// selection. Result.Scores aliases ws and is valid only until
-// ws.Release(); callers that keep scores must copy them first.
+// selection. It scores the grid on the calling goroutine alone.
+// Result.Scores aliases ws and is valid only until ws.Release();
+// callers that keep scores must copy them first.
 func TwoPointerGridSearchInto(ctx context.Context, x, y []float64, g Grid, k kernel.Kind, st Stability, ws *Workspace) (Result, error) {
-	return twoPointerInto(ctx, x, y, g, k, st, ws)
+	return twoPointerInto(ctx, x, y, g, k, st, ws, 1)
 }
 
-func twoPointerInto(ctx context.Context, x, y []float64, g Grid, k kernel.Kind, st Stability, ws *Workspace) (Result, error) {
+// twoPointerInto runs the two-pointer search in ws, scoring the window
+// kernels' candidates on up to workers goroutines (windowScores).
+func twoPointerInto(ctx context.Context, x, y []float64, g Grid, k kernel.Kind, st Stability, ws *Workspace, workers int) (Result, error) {
 	if err := validateSample(x, y); err != nil {
 		return Result{}, err
 	}
@@ -193,7 +229,7 @@ func twoPointerInto(ctx context.Context, x, y []float64, g Grid, k kernel.Kind, 
 	xs, ys := ws.sortSample(x, y)
 	scores := ws.zeroScores(g.Len())
 	if k != kernel.Triangular {
-		if err := windowScores(ctx, xs, ys, g.H, k == kernel.Uniform, st == Compensated, ws.windowMoments(n), scores); err != nil {
+		if err := windowScores(ctx, xs, ys, g.H, k == kernel.Uniform, st == Compensated, ws.windowMoments(n), scores, workers); err != nil {
 			return Result{}, err
 		}
 		return Best(g, scores), nil
@@ -213,89 +249,59 @@ func twoPointerInto(ctx context.Context, x, y []float64, g Grid, k kernel.Kind, 
 	return Best(g, scores), nil
 }
 
-// TwoPointerGridSearchParallel splits the Epanechnikov window sweep
-// across workers by candidate: the single globally sorted sample is
-// shared read-only, each worker scores a contiguous range of the grid
-// with its own pooled moment buffers, and writes only its own range of
-// the score vector. Each score is computed exactly as the sequential
-// search computes it, so the result is bit-identical to
-// TwoPointerGridSearch for any worker count. workers <= 0 selects
-// runtime.GOMAXPROCS(0) at call time; the worker count is clamped to
-// the grid size.
-func TwoPointerGridSearchParallel(x, y []float64, g Grid, workers int) (Result, error) {
-	return TwoPointerGridSearchParallelContext(context.Background(), x, y, g, workers)
-}
-
-// TwoPointerGridSearchParallelContext is TwoPointerGridSearchParallel
-// with cooperative cancellation: every worker polls ctx once per
-// candidate bandwidth; on cancellation ctx.Err() is returned with a
-// zero Result.
-func TwoPointerGridSearchParallelContext(ctx context.Context, x, y []float64, g Grid, workers int) (Result, error) {
-	return TwoPointerGridSearchParallelStabilityContext(ctx, x, y, g, workers, Compensated)
-}
-
-// TwoPointerGridSearchParallelStabilityContext is
-// TwoPointerGridSearchParallelContext with an explicit summation mode
-// for the window moments.
-// TwoPointerGridSearchParallelStability is
-// TwoPointerGridSearchParallelStabilityContext without cancellation.
-func TwoPointerGridSearchParallelStability(x, y []float64, g Grid, workers int, st Stability) (Result, error) {
-	return TwoPointerGridSearchParallelStabilityContext(context.Background(), x, y, g, workers, st)
-}
-
-func TwoPointerGridSearchParallelStabilityContext(ctx context.Context, x, y []float64, g Grid, workers int, st Stability) (Result, error) {
-	if err := validateSample(x, y); err != nil {
-		return Result{}, err
+// windowScores writes the CV score of every bandwidth in hs into the
+// matching element of out. The calling goroutine, with the moment
+// buffers m, and up to min(workers, len(hs)) − 1 helpers, each with
+// its own pooled buffers, claim candidates from one shared counter, so
+// a slow candidate never leaves another goroutine idle at the end, as
+// a static split of the grid would. Each goroutine writes only the
+// slots it claimed. Helper errors are kept by goroutine index and the
+// first in index order is returned, once every helper has joined.
+//
+//kernvet:bitexact
+func windowScores(ctx context.Context, xs, ys, hs []float64, uniform, comp bool, m windowMoments, out []float64, workers int) error {
+	helpers := min(workers, len(hs)) - 1
+	if helpers <= 0 {
+		// Kept apart so that the counter stays on the stack:
+		// TwoPointerGridSearchInto must not allocate.
+		var next atomic.Int64
+		return claimWindowScores(ctx, xs, ys, hs, uniform, comp, m, out, &next)
 	}
-	if err := g.Validate(); err != nil {
-		return Result{}, err
-	}
-	if err := ctx.Err(); err != nil {
-		return Result{}, err
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	n, k := len(x), g.Len()
-	if workers > k {
-		workers = k
-	}
-	// One global sort, shared read-only by every worker.
-	ws := AcquireWorkspace(n, 0)
-	defer ws.Release()
-	xs, ys := ws.sortSample(x, y)
-	scores := make([]float64, k)
-	errs := make([]error, workers)
+	next := new(atomic.Int64)
+	errs := make([]error, helpers+1)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 1; w <= helpers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			wws := AcquireWorkspace(n, 0)
-			defer wws.Release()
-			lo, hi := w*k/workers, (w+1)*k/workers
-			errs[w] = windowScores(ctx, xs, ys, g.H[lo:hi], false, st == Compensated, wws.windowMoments(n), scores[lo:hi])
+			hws := AcquireWorkspace(len(xs), 0)
+			defer hws.Release()
+			errs[w] = claimWindowScores(ctx, xs, ys, hs, uniform, comp, hws.windowMoments(len(xs)), out, next)
 		}(w)
 	}
+	errs[0] = claimWindowScores(ctx, xs, ys, hs, uniform, comp, m, out, next)
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return Result{}, err
+			return err
 		}
 	}
-	return Best(g, scores), nil
+	return nil
 }
 
-// windowScores writes the CV score of every bandwidth in hs into the
-// matching element of out, polling ctx once per bandwidth.
-func windowScores(ctx context.Context, xs, ys, hs []float64, uniform, comp bool, m windowMoments, out []float64) error {
-	for j, h := range hs {
+// claimWindowScores scores candidates claimed from next until the grid
+// is exhausted, polling ctx before each one.
+func claimWindowScores(ctx context.Context, xs, ys, hs []float64, uniform, comp bool, m windowMoments, out []float64, next *atomic.Int64) error {
+	for {
+		j := int(next.Add(1) - 1)
+		if j >= len(hs) {
+			return nil
+		}
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		out[j] = windowScore(xs, ys, h, uniform, comp, m) / float64(len(xs))
+		out[j] = windowScore(xs, ys, hs[j], uniform, comp, m) / float64(len(xs))
 	}
-	return nil
 }
 
 // windowMoments are the window sweep's five moment buffers — Σy, Σy·u,

@@ -2,11 +2,16 @@ package bandwidth
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"sort"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/kernel"
 	"repro/internal/mathx"
@@ -90,38 +95,67 @@ func sameBits(a, b Result) bool {
 	return true
 }
 
-// TestTwoPointerParallelMatchesSequential pins the candidate split:
-// every worker count scores each candidate exactly as the sequential
-// search does, so the results are bit-identical.
-func TestTwoPointerParallelMatchesSequential(t *testing.T) {
-	x, y := tpTestSample(311, 7)
-	g, err := DefaultGrid(x, 40)
+// sequentialTwoPointer is the reference the split engine is held to:
+// TwoPointerGridSearchInto scores the whole grid on the calling
+// goroutine. The scores are copied out of the workspace.
+func sequentialTwoPointer(t *testing.T, x, y []float64, g Grid, k kernel.Kind, st Stability) Result {
+	t.Helper()
+	ws := AcquireWorkspace(len(x), g.Len())
+	defer ws.Release()
+	r, err := TwoPointerGridSearchInto(context.Background(), x, y, g, k, st, ws)
 	if err != nil {
 		t.Fatal(err)
 	}
+	r.Scores = append([]float64(nil), r.Scores...)
+	return r
+}
+
+// splitWorkerCaps are the worker caps the split engine is checked at:
+// the GOMAXPROCS default, no helpers, and caps below, at and above the
+// grid sizes below.
+var splitWorkerCaps = []int{0, 1, 2, 3, 64}
+
+// checkSplitMatchesSequential asserts that the split engine scores
+// every candidate bit for bit as the sequential search does, for both
+// window kernels, both summation modes and every worker cap.
+func checkSplitMatchesSequential(t *testing.T, x, y []float64, g Grid) {
+	t.Helper()
 	ctx := context.Background()
-	for _, st := range []Stability{Compensated, Uncompensated} {
-		want, err := TwoPointerGridSearchKernelStabilityContext(ctx, x, y, g, kernel.Epanechnikov, st)
+	for _, k := range []kernel.Kind{kernel.Epanechnikov, kernel.Uniform} {
+		for _, st := range []Stability{Compensated, Uncompensated} {
+			want := sequentialTwoPointer(t, x, y, g, k, st)
+			for _, workers := range splitWorkerCaps {
+				got, err := TwoPointerGridSearchParallelStabilityContext(ctx, x, y, g, k, workers, st)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !sameBits(got, want) {
+					t.Errorf("n=%d k=%d %v/%v workers=%d: (index=%d cv=%v), sequential (index=%d cv=%v) — not bit-identical",
+						len(x), g.Len(), k, st, workers, got.Index, got.CV, want.Index, want.CV)
+				}
+			}
+		}
+	}
+}
+
+// TestTwoPointerParallelMatchesSequential pins the candidate split:
+// whichever goroutine claims a candidate scores it exactly as the
+// sequential search does, so the results are bit-identical.
+func TestTwoPointerParallelMatchesSequential(t *testing.T) {
+	x, y := tpTestSample(311, 7)
+	for _, size := range []int{1, 2, 7, 40} {
+		g, err := DefaultGrid(x, size)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, workers := range []int{0, 1, 2, 5, 16, 64} {
-			got, err := TwoPointerGridSearchParallelStabilityContext(ctx, x, y, g, workers, st)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !sameBits(got, want) {
-				t.Errorf("%v workers=%d: (index=%d cv=%v), sequential (index=%d cv=%v) — not bit-identical",
-					st, workers, got.Index, got.CV, want.Index, want.CV)
-			}
-		}
+		checkSplitMatchesSequential(t, x, y, g)
 	}
 }
 
 // TestParallelFewerObservationsThanWorkers pins the worker clamps: with
 // n < workers both parallel families must still agree with their
 // sequential search — sorted-parallel (observation shards, clamped to n)
-// within twoPointerTol, twopointer-parallel (candidate shards, clamped
+// within twoPointerTol, the two-pointer split (candidate claims, clamped
 // to k) bit for bit.
 func TestParallelFewerObservationsThanWorkers(t *testing.T) {
 	x := []float64{0.9, 0.1, 0.5}
@@ -142,17 +176,68 @@ func TestParallelFewerObservationsThanWorkers(t *testing.T) {
 		t.Errorf("sorted-parallel: (index=%d cv=%g), sequential (index=%d cv=%g)",
 			got.Index, got.CV, want.Index, want.CV)
 	}
-	want, err = TwoPointerGridSearch(x, y, g)
+	for _, size := range []int{1, 2, 7, 40} {
+		g, err := NewGrid(0.2, 1.2, size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkSplitMatchesSequential(t, x, y, g)
+	}
+}
+
+// tripCtx is a context that reports cancellation from its trip-th Err
+// call on: a deterministic "cancelled mid-grid" for the split engine,
+// whose goroutines poll Err before every claimed candidate.
+type tripCtx struct {
+	context.Context
+	calls atomic.Int64
+	trip  int64
+}
+
+func (c *tripCtx) Err() error {
+	if c.calls.Add(1) >= c.trip {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestTwoPointerSplitCancellation cancels the split engine mid-grid: it
+// must return ctx.Err() and a zero Result, leave no helper goroutine
+// behind, and give back every workspace it acquired.
+func TestTwoPointerSplitCancellation(t *testing.T) {
+	x, y := tpTestSample(600, 21)
+	g, err := DefaultGrid(x, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err = TwoPointerGridSearchParallel(x, y, g, 8)
-	if err != nil {
-		t.Fatalf("twopointer-parallel with workers > n: %v", err)
+	base := runtime.NumGoroutine()
+	h0, m0 := PoolStats()
+	r0 := PoolReleases()
+	for _, k := range []kernel.Kind{kernel.Epanechnikov, kernel.Uniform} {
+		for _, workers := range splitWorkerCaps {
+			// The first poll precedes the sort; the trip lands a few
+			// candidates into the grid.
+			ctx := &tripCtx{Context: context.Background(), trip: 6}
+			got, err := TwoPointerGridSearchParallelStabilityContext(ctx, x, y, g, k, workers, Compensated)
+			if !errors.Is(err, context.Canceled) {
+				t.Errorf("%v workers=%d: err = %v, want context.Canceled", k, workers, err)
+			}
+			if !reflect.DeepEqual(got, Result{}) {
+				t.Errorf("%v workers=%d: cancelled search returned %+v, want a zero Result", k, workers, got)
+			}
+		}
 	}
-	if !sameBits(got, want) {
-		t.Errorf("twopointer-parallel: (index=%d cv=%v), sequential (index=%d cv=%v) — not bit-identical",
-			got.Index, got.CV, want.Index, want.CV)
+	// A helper that has called wg.Done may not have exited yet.
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Errorf("%d goroutines after the cancelled searches, %d before", n, base)
+	}
+	h1, m1 := PoolStats()
+	if acq, rel := (h1-h0)+(m1-m0), PoolReleases()-r0; acq != rel {
+		t.Errorf("cancelled searches acquired %d workspaces and released %d", acq, rel)
 	}
 }
 
@@ -381,7 +466,9 @@ func TestWorkspacePoolStats(t *testing.T) {
 	if m1 <= m0 && h1 <= h0 {
 		t.Errorf("pool counters did not move: hits %d→%d misses %d→%d", h0, h1, m0, m1)
 	}
-	if h1 == h0 {
+	// The race detector makes sync.Pool drop Puts at random, so only a
+	// build without it can require the hit.
+	if !raceEnabled && h1 == h0 {
 		t.Errorf("second acquire in the same class missed the pool (hits %d→%d)", h0, h1)
 	}
 }
@@ -467,7 +554,7 @@ func TestWindowSweepNonFiniteX(t *testing.T) {
 					t.Errorf("x[%d]=%v %v: %v", pos, bad, k, err)
 				}
 			}
-			if _, err := TwoPointerGridSearchParallel(x, y, g, 3); err != nil {
+			if _, err := TwoPointerGridSearchParallelStability(x, y, g, kernel.Epanechnikov, 3, Compensated); err != nil {
 				t.Errorf("x[%d]=%v parallel: %v", pos, bad, err)
 			}
 		}

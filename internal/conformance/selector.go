@@ -177,7 +177,7 @@ func Registry() []Selector {
 		{
 			Name: "twopointer-parallel", Class: Exact, Family: LocalConstant, MinN: 2,
 			Run: func(ctx context.Context, x, y []float64, g bandwidth.Grid) (bandwidth.Result, error) {
-				return bandwidth.TwoPointerGridSearchParallelContext(ctx, x, y, g, 4)
+				return bandwidth.TwoPointerGridSearchParallelStabilityContext(ctx, x, y, g, kernel.Epanechnikov, 4, bandwidth.Compensated)
 			},
 		},
 		{

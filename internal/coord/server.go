@@ -3,6 +3,7 @@ package coord
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -105,12 +106,36 @@ type SelectResponse struct {
 	ElapsedMs float64    `json:"elapsed_ms"`
 }
 
-func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
+// maxBodyBytes caps a /v1/select body.
+const maxBodyBytes = 512 << 20
+
+// decodeSelectRequest parses one JSON object from body, read through
+// http.MaxBytesReader with the given byte limit, and reports the HTTP
+// status for a failure: 413 for an object that does not end within the
+// limit, 400 for malformed JSON, unknown fields or trailing data after
+// the object, as kernregd's decoder does.
+func decodeSelectRequest(w http.ResponseWriter, body io.ReadCloser, limit int64) (SelectRequest, int, error) {
 	var req SelectRequest
-	dec := json.NewDecoder(io.LimitReader(r.Body, 512<<20))
+	dec := json.NewDecoder(http.MaxBytesReader(w, body, limit))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		http.Error(w, fmt.Sprintf("invalid JSON body: %v", err), http.StatusBadRequest)
+	err := dec.Decode(&req)
+	if err == nil && dec.More() {
+		err = errors.New("trailing data after object")
+	}
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		return SelectRequest{}, http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds the limit of %d bytes", tooLarge.Limit)
+	case err != nil:
+		return SelectRequest{}, http.StatusBadRequest, fmt.Errorf("invalid JSON body: %w", err)
+	}
+	return req, http.StatusOK, nil
+}
+
+func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
+	req, status, err := decodeSelectRequest(w, r.Body, maxBodyBytes)
+	if err != nil {
+		http.Error(w, err.Error(), status)
 		return
 	}
 	if len(req.X) != len(req.Y) {
@@ -133,10 +158,7 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("grid_size=%d outside [1, %d]", req.GridSize, s.cfg.MaxGrid), http.StatusBadRequest)
 		return
 	}
-	var (
-		g   bandwidth.Grid
-		err error
-	)
+	var g bandwidth.Grid
 	if req.GridMin != 0 || req.GridMax != 0 {
 		g, err = bandwidth.NewGrid(req.GridMin, req.GridMax, k)
 	} else {

@@ -3,7 +3,10 @@ package coord
 import (
 	"bytes"
 	"encoding/json"
+	"io"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 )
 
@@ -95,5 +98,46 @@ func TestServerRejects(t *testing.T) {
 		if w := postSelect(t, s, tc.body); w.Code != tc.code {
 			t.Errorf("%s: status %d, want %d (%s)", tc.name, w.Code, tc.code, w.Body.String())
 		}
+	}
+}
+
+// TestDecodeSelectRequestLimits pins the body contract of /v1/select
+// with a small limit in place of the 512 MiB one: a JSON object that
+// does not end within the limit is rejected with 413, never answered
+// as a truncated body, and data after the object is rejected with 400.
+func TestDecodeSelectRequestLimits(t *testing.T) {
+	const limit = 48
+	valid := `{"x":[0.1,0.5,0.9],"y":[1,2,3]}`
+	cases := []struct {
+		name, body string
+		code       int
+		msg        string
+	}{
+		{"fits", valid, http.StatusOK, ""},
+		{"fits with trailing newline", valid + "\n", http.StatusOK, ""},
+		{"over the limit", `{"x":[0.1,0.5,0.9,0.95],"y":[1,2,3,4],"grid_size":16}`, http.StatusRequestEntityTooLarge, "exceeds the limit of 48 bytes"},
+		{"object cut by the limit", valid[:len(valid)-1] + strings.Repeat(" ", limit) + "}", http.StatusRequestEntityTooLarge, "exceeds the limit of 48 bytes"},
+		{"second object", valid + `{}`, http.StatusBadRequest, "trailing data after object"},
+		{"trailing garbage", valid + `x`, http.StatusBadRequest, "trailing data after object"},
+		{"truncated", `{"x":[0.1,`, http.StatusBadRequest, "invalid JSON body"},
+		{"unknown field", `{"x":[1,2],"bogus":1}`, http.StatusBadRequest, "unknown field"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			body := io.NopCloser(strings.NewReader(tc.body))
+			req, code, err := decodeSelectRequest(httptest.NewRecorder(), body, limit)
+			if code != tc.code {
+				t.Fatalf("status %d, want %d (err %v)", code, tc.code, err)
+			}
+			if tc.code == http.StatusOK {
+				if err != nil || len(req.X) == 0 {
+					t.Fatalf("decoded %+v, err %v", req, err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.msg) {
+				t.Errorf("error %v, want it to mention %q", err, tc.msg)
+			}
+		})
 	}
 }

@@ -202,7 +202,7 @@ func TestGoldenAllSelectorsAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tpPar, err := bandwidth.TwoPointerGridSearchParallel(d.X, d.Y, g, 4)
+		tpPar, err := bandwidth.TwoPointerGridSearchParallelStability(d.X, d.Y, g, kernel.Epanechnikov, 4, bandwidth.Compensated)
 		if err != nil {
 			t.Fatal(err)
 		}

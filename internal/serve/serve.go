@@ -29,7 +29,9 @@ import (
 type Config struct {
 	// Workers is the number of selector goroutines; 0 means GOMAXPROCS.
 	// Each in-flight selection occupies one worker for its duration, so
-	// this bounds compute concurrency.
+	// this bounds the number of in-flight selections, not the cores
+	// they use: one twopointer selection may share its grid across up
+	// to GOMAXPROCS goroutines.
 	Workers int
 	// QueueDepth is how many admitted requests may wait for a worker
 	// beyond those already running; 0 means 2×Workers. A full queue

@@ -107,7 +107,7 @@ func shardSelector(method string) (func(ctx context.Context, x, y []float64, g b
 			if k != kernel.Epanechnikov {
 				return bandwidth.Result{}, badRequest("method \"twopointer-parallel\" supports only the epanechnikov kernel")
 			}
-			return bandwidth.TwoPointerGridSearchParallelStabilityContext(ctx, x, y, g, 0, st)
+			return bandwidth.TwoPointerGridSearchKernelStabilityContext(ctx, x, y, g, k, st)
 		}, nil
 	}
 	return nil, badRequest("method %q is not shardable (want sorted, twopointer, naive, or a -parallel variant)", method)

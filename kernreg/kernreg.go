@@ -61,14 +61,17 @@ const (
 	// O(n) sweep of two monotone window pointers over anchored window
 	// moments: O(n log n + k·n) total instead of O(n² log n), same
 	// objective, same grid. Each candidate's score depends only on the
-	// data and that bandwidth. At tens of ns per (observation,
-	// candidate) it is slower than the old Θ(n²) neighbour merge once
-	// k ≳ n/2 on one node. The Triangular kernel still merges each
-	// observation's neighbours: O(n log n + n·(n+k)).
+	// data and that bandwidth, so the candidates are shared across up
+	// to GOMAXPROCS goroutines (capped by Workers), each claiming the
+	// next one; the answer is bit-identical for any goroutine count. At
+	// tens of ns per (observation, candidate) it is slower than the old
+	// Θ(n²) neighbour merge once k ≳ n/2 on one core. The Triangular
+	// kernel still merges each observation's neighbours on one
+	// goroutine: O(n log n + n·(n+k)).
 	MethodTwoPointer
-	// MethodTwoPointerParallel splits the two-pointer window sweep
-	// across goroutines by candidate bandwidth, over the single shared
-	// sorted sample; it is bit-identical to MethodTwoPointer.
+	// MethodTwoPointerParallel is MethodTwoPointer restricted to the
+	// Epanechnikov kernel. It is kept as a name for existing callers and
+	// runs the same engine, so it is bit-identical to MethodTwoPointer.
 	MethodTwoPointerParallel
 	// MethodTwoPointerF32 is the single-precision two-pointer variant:
 	// Program 3's arithmetic with the global-sort enumeration.
@@ -210,9 +213,10 @@ func GridRange(min, max float64) Option {
 	}
 }
 
-// Workers sets the goroutine count for the parallel methods, including
-// MethodBagged's concurrent bag sweeps (0 = GOMAXPROCS). Negative
-// counts are rejected.
+// Workers sets the goroutine count for the parallel methods: the
+// goroutines that share one MethodTwoPointer or
+// MethodTwoPointerParallel grid, and MethodBagged's concurrent bag
+// sweeps (0 = GOMAXPROCS). Negative counts are rejected.
 func Workers(n int) Option {
 	return func(c *config) error {
 		if n < 0 {
@@ -436,13 +440,11 @@ func SelectBandwidthContext(ctx context.Context, x, y []float64, opts ...Option)
 			return Selection{}, errors.New("kernreg: gpu-tiled supports the epanechnikov kernel only")
 		}
 		r, _, _, err = core.SelectGPUTiledContext(ctx, x, y, g, core.TiledOptions{KeepScores: c.keepScores, Uncompensated: !c.stable})
-	case MethodTwoPointer:
-		r, err = bandwidth.TwoPointerGridSearchKernelStabilityContext(ctx, x, y, g, c.kern, c.stability())
-	case MethodTwoPointerParallel:
-		if c.kern != kernel.Epanechnikov {
+	case MethodTwoPointer, MethodTwoPointerParallel:
+		if c.method == MethodTwoPointerParallel && c.kern != kernel.Epanechnikov {
 			return Selection{}, errors.New("kernreg: twopointer-parallel currently supports the epanechnikov kernel only")
 		}
-		r, err = bandwidth.TwoPointerGridSearchParallelStabilityContext(ctx, x, y, g, c.workers, c.stability())
+		r, err = bandwidth.TwoPointerGridSearchParallelStabilityContext(ctx, x, y, g, c.kern, c.workers, c.stability())
 	case MethodTwoPointerF32:
 		if c.kern != kernel.Epanechnikov {
 			return Selection{}, errors.New("kernreg: twopointer-f32 supports the epanechnikov kernel only")

@@ -6,16 +6,20 @@ import (
 
 func TestPooledMatchesUnpooled(t *testing.T) {
 	x, y := paperData(300, 17)
-	want, err := SelectBandwidth(x, y, WithMethod(MethodTwoPointer), GridSize(40))
-	if err != nil {
-		t.Fatal(err)
-	}
 	got, err := SelectBandwidth(x, y, WithMethod(MethodTwoPointer), GridSize(40), Pooled())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Bandwidth != want.Bandwidth || got.CV != want.CV || got.Index != want.Index {
-		t.Errorf("pooled selection %+v differs from unpooled %+v", got, want)
+	// The pooled path scores the grid on the calling goroutine; the
+	// unpooled one shares it across up to Workers goroutines.
+	for _, workers := range []int{0, 1, 3} {
+		want, err := SelectBandwidth(x, y, WithMethod(MethodTwoPointer), GridSize(40), Workers(workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Bandwidth != want.Bandwidth || got.CV != want.CV || got.Index != want.Index {
+			t.Errorf("pooled selection %+v differs from unpooled with Workers(%d) %+v", got, workers, want)
+		}
 	}
 	if got.Grid != nil || got.Scores != nil {
 		t.Errorf("pooled selection must not retain Grid/Scores: %+v", got)
@@ -24,7 +28,7 @@ func TestPooledMatchesUnpooled(t *testing.T) {
 		t.Errorf("pooled selection method = %v", got.Method)
 	}
 	// Explicit grid range too.
-	want, err = SelectBandwidth(x, y, WithMethod(MethodTwoPointer), GridSize(16), GridRange(0.1, 2))
+	want, err := SelectBandwidth(x, y, WithMethod(MethodTwoPointer), GridSize(16), GridRange(0.1, 2))
 	if err != nil {
 		t.Fatal(err)
 	}

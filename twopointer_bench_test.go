@@ -1,10 +1,15 @@
 package repro
 
 import (
+	"context"
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/bandwidth"
+	"repro/internal/data"
+	"repro/internal/kernel"
 	"repro/kernreg"
 )
 
@@ -61,18 +66,52 @@ func BenchmarkTwoPointerPooledSelect(b *testing.B) {
 	}
 }
 
-// BenchmarkTwoPointerParallel pins the parallel family's scaling point
-// used in EXPERIMENTS.md.
-func BenchmarkTwoPointerParallel(b *testing.B) {
-	for _, n := range []int{2000, 10000} {
-		d, g := setup(b, n, 50)
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := bandwidth.TwoPointerGridSearchParallel(d.X, d.Y, g, 0); err != nil {
-					b.Fatal(err)
+// BenchmarkTwoPointerSplit compares the two ways one window-sweep grid
+// is scored (EXPERIMENTS.md "Splitting the window sweep by candidate"):
+// "sequential" is TwoPointerGridSearchInto on the calling goroutine,
+// "split" is the allocating entry point, which shares the grid across
+// up to GOMAXPROCS goroutines. The callers=2 cells run two selections
+// at once and report wall time per selection, the saturated case where
+// the split's helpers find no idle core. Run it at -cpu 1,2.
+func BenchmarkTwoPointerSplit(b *testing.B) {
+	ctx := context.Background()
+	sequential := func(d data.Dataset, g bandwidth.Grid) error {
+		ws := bandwidth.AcquireWorkspace(len(d.X), g.Len())
+		defer ws.Release()
+		_, err := bandwidth.TwoPointerGridSearchInto(ctx, d.X, d.Y, g, kernel.Epanechnikov, bandwidth.Compensated, ws)
+		return err
+	}
+	split := func(d data.Dataset, g bandwidth.Grid) error {
+		_, err := bandwidth.TwoPointerGridSearch(d.X, d.Y, g)
+		return err
+	}
+	cells := []struct{ n, k, callers int }{
+		{256, 50, 1}, {2000, 50, 1}, {2000, 512, 1}, {2000, 1024, 1},
+		{2000, 50, 2}, {2000, 512, 2},
+	}
+	for _, c := range cells {
+		d, g := setup(b, c.n, c.k)
+		for _, e := range []struct {
+			name string
+			run  func(data.Dataset, bandwidth.Grid) error
+		}{{"sequential", sequential}, {"split", split}} {
+			b.Run(fmt.Sprintf("n=%d/k=%d/callers=%d/%s", c.n, c.k, c.callers, e.name), func(b *testing.B) {
+				var next atomic.Int64
+				var wg sync.WaitGroup
+				for w := 0; w < c.callers; w++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						for next.Add(1) <= int64(b.N) {
+							if err := e.run(d, g); err != nil {
+								b.Error(err)
+								return
+							}
+						}
+					}()
 				}
-			}
-		})
+				wg.Wait()
+			})
+		}
 	}
 }
