@@ -136,14 +136,14 @@ func BenchmarkTableI_GoNative(b *testing.B) {
 		d, g := setup(b, n, benchK)
 		b.Run(fmt.Sprintf("sorted/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := bandwidth.SortedGridSearch(d.X, d.Y, g); err != nil {
+				if _, err := bandwidth.SortedGridSearchKernelStabilityContext(context.Background(), d.X, d.Y, g, kernel.Epanechnikov, bandwidth.Compensated); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 		b.Run(fmt.Sprintf("parallel/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := bandwidth.SortedGridSearchParallel(d.X, d.Y, g, 0); err != nil {
+				if _, err := bandwidth.SortedGridSearchParallelStabilityContext(context.Background(), d.X, d.Y, g, 0, bandwidth.Compensated); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -163,14 +163,14 @@ func BenchmarkSortedContextOverhead(b *testing.B) {
 	defer cancel()
 	b.Run(fmt.Sprintf("live-ctx/n=%d", n), func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := bandwidth.SortedGridSearchKernelContext(ctx, d.X, d.Y, g, kernel.Epanechnikov); err != nil {
+			if _, err := bandwidth.SortedGridSearchKernelStabilityContext(ctx, d.X, d.Y, g, kernel.Epanechnikov, bandwidth.Compensated); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run(fmt.Sprintf("background/n=%d", n), func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := bandwidth.SortedGridSearch(d.X, d.Y, g); err != nil {
+			if _, err := bandwidth.SortedGridSearchKernelStabilityContext(context.Background(), d.X, d.Y, g, kernel.Epanechnikov, bandwidth.Compensated); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -208,7 +208,7 @@ func BenchmarkCompensatedOverhead(b *testing.B) {
 	})
 	b.Run(fmt.Sprintf("f32-uncompensated/n=%d", n), func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.SortedSequentialUncompensated(d.X, d.Y, g); err != nil {
+			if _, err := core.SortedSequentialUncompensatedContext(context.Background(), d.X, d.Y, g); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -273,14 +273,14 @@ func BenchmarkAblation_SortedVsNaive(b *testing.B) {
 	d, g := setup(b, 1000, benchK)
 	b.Run("naive", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := bandwidth.NaiveGridSearch(d.X, d.Y, g, kernel.Epanechnikov); err != nil {
+			if _, err := bandwidth.NaiveGridSearchContext(context.Background(), d.X, d.Y, g, kernel.Epanechnikov); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("sorted", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := bandwidth.SortedGridSearch(d.X, d.Y, g); err != nil {
+			if _, err := bandwidth.SortedGridSearchKernelStabilityContext(context.Background(), d.X, d.Y, g, kernel.Epanechnikov, bandwidth.Compensated); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -308,7 +308,7 @@ func BenchmarkAblation_GridVsOptim(b *testing.B) {
 	})
 	b.Run("sorted-grid", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := bandwidth.SortedGridSearch(d.X, d.Y, g); err != nil {
+			if _, err := bandwidth.SortedGridSearchKernelStabilityContext(context.Background(), d.X, d.Y, g, kernel.Epanechnikov, bandwidth.Compensated); err != nil {
 				b.Fatal(err)
 			}
 		}

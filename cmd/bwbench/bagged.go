@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -79,7 +80,7 @@ func measureBagged(seed int64, maxN int) (baggedReport, error) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					var err error
-					r, err = bandwidth.TwoPointerGridSearchKernel(d.X, d.Y, g, kernel.Epanechnikov)
+					r, err = bandwidth.TwoPointerGridSearchKernelStabilityContext(context.Background(), d.X, d.Y, g, kernel.Epanechnikov, bandwidth.Compensated)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -100,7 +101,7 @@ func measureBagged(seed int64, maxN int) (baggedReport, error) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				var err error
-				br, err = bandwidth.BaggedGridSearch(d.X, d.Y, g, kernel.Epanechnikov, opt)
+				br, err = bandwidth.BaggedGridSearchContext(context.Background(), d.X, d.Y, g, kernel.Epanechnikov, opt)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -5,12 +5,13 @@
 // Usage:
 //
 //	bwgrid [-in data.csv | -dgp paper -n 1000 -seed 42]
-//	       [-method sorted|sorted-parallel|sorted-f32|naive|numerical|gpu]
+//	       [-method name]
 //	       [-kernel epanechnikov] [-k 50] [-hmin 0] [-hmax 0]
 //	       [-scores] [-fit out.csv] [-points 100]
 //
-// With -fit the selected bandwidth is used to fit the regression over an
-// evenly spaced grid and the (x, ŷ) pairs are written as CSV.
+// -method takes any of the library's method names; `bwgrid -h` lists
+// them. With -fit the selected bandwidth is used to fit the regression
+// over an evenly spaced grid and the (x, ŷ) pairs are written as CSV.
 package main
 
 import (
@@ -20,6 +21,7 @@ import (
 	"time"
 
 	"repro/internal/data"
+	"repro/internal/method"
 	"repro/internal/stats"
 	"repro/kernreg"
 )
@@ -37,7 +39,7 @@ func run() error {
 		dgp     = flag.String("dgp", "paper", "synthetic DGP: paper|sine|step|hetero|linear|clustered")
 		n       = flag.Int("n", 1000, "synthetic sample size")
 		seed    = flag.Int64("seed", 42, "synthetic data seed")
-		method  = flag.String("method", "sorted", "selection method: sorted|sorted-parallel|sorted-f32|naive|numerical|gpu")
+		meth    = flag.String("method", "sorted", "selection method: "+method.Names("|", func(method.Row) bool { return true }))
 		esttype = flag.String("estimator", "lc", "regression type: lc (local constant) or ll (local linear)")
 		crit    = flag.String("criterion", "cv.ls", "selection objective: cv.ls (least-squares CV) or cv.aic (corrected AIC)")
 		kern    = flag.String("kernel", "epanechnikov", "kernel weighting function")
@@ -68,7 +70,7 @@ func run() error {
 		fmt.Printf("generated %d observations from the %q DGP (seed %d)\n", ds.Len(), *dgp, *seed)
 	}
 
-	m, err := kernreg.ParseMethod(*method)
+	m, err := kernreg.ParseMethod(*meth)
 	if err != nil {
 		return err
 	}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -14,6 +15,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/gpu"
+	"repro/internal/kernel"
 )
 
 func main() {
@@ -24,7 +26,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	host, err := bandwidth.SortedGridSearch(d.X, d.Y, g)
+	host, err := bandwidth.SortedGridSearchKernelStabilityContext(context.Background(), d.X, d.Y, g, kernel.Epanechnikov, bandwidth.Compensated)
 	if err != nil {
 		log.Fatal(err)
 	}

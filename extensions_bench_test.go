@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -25,14 +26,14 @@ func BenchmarkExtension_LocalLinearCV(b *testing.B) {
 	d, g := setup(b, 1000, benchK)
 	b.Run("sorted", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := bandwidth.SortedGridSearchLocalLinear(d.X, d.Y, g); err != nil {
+			if _, err := bandwidth.SortedGridSearchLocalLinearStabilityContext(context.Background(), d.X, d.Y, g, bandwidth.Compensated); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("naive", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := bandwidth.NaiveGridSearchLocalLinear(d.X, d.Y, g, kernel.Epanechnikov); err != nil {
+			if _, err := bandwidth.NaiveGridSearchLocalLinearContext(context.Background(), d.X, d.Y, g, kernel.Epanechnikov); err != nil {
 				b.Fatal(err)
 			}
 		}

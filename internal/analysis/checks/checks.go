@@ -13,7 +13,8 @@
 //   - compsum: running float sums in sweep loops must be compensated
 //     (the PR 3 stability layer).
 //   - ctxpoll: exported ...Context entry points must actually poll or
-//     propagate their context, and keep a non-Context sibling (PR 2).
+//     propagate their context, and a non-Context sibling, where one
+//     exists, must not take one (PR 2).
 //   - errdiscipline: sentinel and typed errors flow through
 //     errors.Is/As and %w wrapping, never ==, type assertions, or
 //     string matching (the typed-error families of PRs 7–9).

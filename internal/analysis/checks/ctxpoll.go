@@ -19,13 +19,15 @@ import (
 //     context silently loses cancellation for every caller,
 //   - never replaces the caller's context with context.Background()/
 //     context.TODO(), and
-//   - keeps its non-Context sibling (the same name minus the suffix) in
-//     the package, and that sibling must not itself take a
+//   - if a non-Context sibling (the same name minus the suffix) exists
+//     in the package, that sibling does not itself take a
 //     context.Context — it would shadow the Context variant and invite
-//     callers to bypass the convention.
+//     callers to bypass the convention. A lone ...Context function is
+//     fine: a sibling that only fills in context.Background() is a
+//     wrapper callers can write themselves.
 var Ctxpoll = &analysis.Analyzer{
 	Name: "ctxpoll",
-	Doc:  "exported ...Context functions must poll or propagate ctx and keep a non-Context sibling",
+	Doc:  "exported ...Context functions must poll or propagate ctx, and a non-Context sibling must not take one",
 	Run:  runCtxpoll,
 }
 
@@ -77,7 +79,7 @@ func typeName(e ast.Expr) string {
 	case *ast.IndexListExpr: // generic receiver, multiple type parameters
 		// Without this case every multi-parameter generic receiver keyed
 		// to "", so methods on different such types counted as each
-		// other's siblings and a missing sibling went unreported.
+		// other's siblings and a shadowing check hit the wrong type.
 		return typeName(t.X)
 	}
 	return ""
@@ -123,16 +125,12 @@ func checkContextFunc(pass *analysis.Pass, fd *ast.FuncDecl, decls map[string]*a
 				fd.Name.Name)
 		}
 	}
-	sibling := strings.TrimSuffix(fd.Name.Name, "Context")
-	key := funcKey(fd)
-	key = strings.TrimSuffix(key, "Context")
-	sib, ok := decls[key]
+	sib, ok := decls[strings.TrimSuffix(funcKey(fd), "Context")]
 	if !ok {
-		pass.Reportf(fd.Pos(), "%s has no non-Context sibling %s in the package", fd.Name.Name, sibling)
 		return
 	}
 	if _, sibCtx := contextParam(pass, sib); sibCtx != nil {
-		pass.Reportf(sib.Pos(), "%s takes a context.Context, shadowing its Context variant %s", sibling, fd.Name.Name)
+		pass.Reportf(sib.Pos(), "%s takes a context.Context, shadowing its Context variant %s", sib.Name.Name, fd.Name.Name)
 	}
 }
 

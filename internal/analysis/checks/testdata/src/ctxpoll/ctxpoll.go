@@ -1,8 +1,8 @@
 //kernvet:path repro/internal/ctxpolltest
 
 // Package ctxpoll exercises the ctxpoll analyzer: exported ...Context
-// functions must take, observe, and not discard their context, and keep
-// a non-Context sibling that does not itself take one.
+// functions must take, observe, and not discard their context, and a
+// non-Context sibling, where one exists, must not itself take one.
 package ctxpoll
 
 import "context"
@@ -40,9 +40,15 @@ func Scan() {}
 // ScanContext lacks the parameter its name promises.
 func ScanContext() {} // want `ScanContext takes no context.Context parameter`
 
-// WalkContext polls but has no non-Context sibling.
-func WalkContext(ctx context.Context) error { // want `WalkContext has no non-Context sibling Walk`
+// WalkContext polls and has no non-Context sibling: clean, a lone
+// ...Context entry point is allowed.
+func WalkContext(ctx context.Context) error {
 	return ctx.Err()
+}
+
+// StrideContext has no sibling, but never looks at ctx: still flagged.
+func StrideContext(ctx context.Context, xs []float64) int { // want `StrideContext never polls its context`
+	return len(xs)
 }
 
 // Visit is the non-Context sibling of VisitContext.
@@ -100,31 +106,36 @@ func (s *Sweeper) SelectContext(ctx context.Context, xs []float64) float64 { // 
 	return xs[0]
 }
 
-// Other shares method names with Sweeper but is a different type, so
-// its Context methods must find their siblings on Other, not Sweeper.
+// Probe takes a context. It is a package-level function, so it is not
+// the sibling of Other.ProbeContext below.
+func Probe(ctx context.Context) error { return ctx.Err() }
+
+// Other shares method names with Sweeper and package-level functions
+// but is a different type, so its Context methods find their siblings
+// on Other only.
 type Other struct{}
 
-// RunContext polls, but Other has no Run method (the package-level Run
-// does not count): flagged.
-func (o *Other) RunContext(ctx context.Context) error { // want `RunContext has no non-Context sibling Run`
-	return ctx.Err()
-}
+// ProbeContext polls; the ctx-taking package-level Probe is not its
+// sibling: clean.
+func (o *Other) ProbeContext(ctx context.Context) error { return ctx.Err() }
+
+// Close takes a context although Other.CloseContext exists: flagged on
+// the method, keyed by receiver.
+func (o *Other) Close(ctx context.Context) error { return ctx.Err() } // want `Close takes a context.Context, shadowing its Context variant CloseContext`
+
+// CloseContext is fine on its own; its sibling is the problem.
+func (o *Other) CloseContext(ctx context.Context) error { return ctx.Err() }
 
 // Pair is a multi-type-parameter generic receiver; its methods used to
 // key to an empty receiver name, colliding with every other such type.
 type Pair[K comparable, V any] struct{}
 
-// Get is the non-Context sibling of Pair.GetContext.
-func (p *Pair[K, V]) Get() {}
-
-// GetContext has its sibling on the same generic type: clean.
-func (p *Pair[K, V]) GetContext(ctx context.Context) error { return ctx.Err() }
+// Get takes a context and Pair has no GetContext: clean.
+func (p *Pair[K, V]) Get(ctx context.Context) error { return ctx.Err() }
 
 // Bag has a GetContext but no Get. Before the IndexListExpr fix the
-// sibling lookup collided with Pair.Get and this went unreported.
+// sibling lookup collided with Pair.Get and reported it as shadowing.
 type Bag[K comparable, V any] struct{}
 
-// GetContext has no non-Context sibling on Bag: flagged.
-func (b *Bag[K, V]) GetContext(ctx context.Context) error { // want `GetContext has no non-Context sibling Get`
-	return ctx.Err()
-}
+// GetContext has no sibling on Bag: clean.
+func (b *Bag[K, V]) GetContext(ctx context.Context) error { return ctx.Err() }

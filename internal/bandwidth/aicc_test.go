@@ -1,6 +1,7 @@
 package bandwidth
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -70,7 +71,7 @@ func TestAICcSelectsNearCV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cv, err := SortedGridSearch(d.X, d.Y, g)
+	cv, err := SortedGridSearchKernelStabilityContext(context.Background(), d.X, d.Y, g, kernel.Epanechnikov, Compensated)
 	if err != nil {
 		t.Fatal(err)
 	}

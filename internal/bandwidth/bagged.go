@@ -102,7 +102,7 @@ func ParseAggregation(s string) (Aggregation, error) {
 	return 0, fmt.Errorf("bandwidth: unknown aggregation %q (want \"mean\" or \"median\")", s)
 }
 
-// BaggedOptions configures BaggedGridSearch.
+// BaggedOptions configures BaggedGridSearchContext.
 type BaggedOptions struct {
 	// Bags is the number of subsamples r (0 = DefaultBags).
 	Bags int
@@ -123,12 +123,12 @@ type BaggedOptions struct {
 
 // BaggedResult is the outcome of a bagged selection. When m == n every
 // bag is the full sample, so the embedded Result is one exact
-// full-sample sweep, bit-identical to TwoPointerGridSearchKernel, and
-// Factor is exactly 1. Otherwise Result.H carries the rescaled mean
-// bandwidth (a continuum value, not a grid point), Result.Index is -1,
-// Result.Scores is nil, and Result.CV is the compensated mean of the
-// per-bag CV minima — the bags' attained objective at size m, not the
-// full-sample CV at H.
+// full-sample sweep, bit-identical to
+// TwoPointerGridSearchKernelStabilityContext, and Factor is exactly 1.
+// Otherwise Result.H carries the rescaled mean bandwidth (a continuum
+// value, not a grid point), Result.Index is -1, Result.Scores is nil,
+// and Result.CV is the compensated mean of the per-bag CV minima — the
+// bags' attained objective at size m, not the full-sample CV at H.
 type BaggedResult struct {
 	Result
 	// Mean and Median are the rescaled aggregates of the per-bag
@@ -149,17 +149,12 @@ type BaggedResult struct {
 	BagH []float64
 }
 
-// BaggedGridSearch selects a bandwidth by bagging the two-pointer sweep
-// over r deterministic subsamples of size m and rescaling the mean
-// winner by (m/n)^(1/5). See BaggedGridSearchContext for cancellation.
-func BaggedGridSearch(x, y []float64, g Grid, k kernel.Kind, opt BaggedOptions) (BaggedResult, error) {
-	return BaggedGridSearchContext(context.Background(), x, y, g, k, opt)
-}
-
-// BaggedGridSearchContext is BaggedGridSearch with cooperative
-// cancellation: every bag worker polls ctx between bags and the inner
-// sweeps poll it per candidate bandwidth. Cancellation returns
-// ctx.Err() and a zero BaggedResult — never a partial aggregate.
+// BaggedGridSearchContext selects a bandwidth by bagging the two-pointer
+// sweep over r deterministic subsamples of size m and rescaling the
+// mean winner by (m/n)^(1/5). Every bag worker polls ctx between bags,
+// and the inner sweeps poll it per candidate bandwidth. Cancellation
+// returns ctx.Err() and a zero BaggedResult — never a partial
+// aggregate.
 func BaggedGridSearchContext(ctx context.Context, x, y []float64, g Grid, k kernel.Kind, opt BaggedOptions) (BaggedResult, error) {
 	if err := validateSample(x, y); err != nil {
 		return BaggedResult{}, err

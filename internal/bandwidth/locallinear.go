@@ -90,15 +90,11 @@ func cvScoreLocalLinearContext(ctx context.Context, x, y []float64, h float64, k
 	return total / float64(n), nil
 }
 
-// NaiveGridSearchLocalLinear evaluates CVScoreLocalLinear independently
-// per grid point, for any kernel.
-func NaiveGridSearchLocalLinear(x, y []float64, g Grid, k kernel.Kind) (Result, error) {
-	return NaiveGridSearchLocalLinearContext(context.Background(), x, y, g, k)
-}
-
-// NaiveGridSearchLocalLinearContext is NaiveGridSearchLocalLinear with
-// cooperative cancellation at observation granularity. Cancellation
-// returns ctx.Err() and a zero Result.
+// NaiveGridSearchLocalLinearContext evaluates CVScoreLocalLinear
+// independently per grid point, for any kernel: the oracle of the
+// local-linear family. Like NaiveGridSearchContext it polls ctx once
+// per observation of each grid point's row; cancellation returns
+// ctx.Err() and a zero Result.
 func NaiveGridSearchLocalLinearContext(ctx context.Context, x, y []float64, g Grid, k kernel.Kind) (Result, error) {
 	if err := validateSample(x, y); err != nil {
 		return Result{}, err
@@ -268,30 +264,14 @@ func localLinearSweepCompensated(absd, delta, yv []float64, yi float64, grid, sc
 	}
 }
 
-// SortedGridSearchLocalLinear runs the sorted incremental grid search for
-// the local-linear estimator with the Epanechnikov kernel — the "ll"
-// analogue of SortedGridSearch, demonstrating that the paper's technique
-// is not specific to the local-constant estimator.
-func SortedGridSearchLocalLinear(x, y []float64, g Grid) (Result, error) {
-	return SortedGridSearchLocalLinearContext(context.Background(), x, y, g)
-}
-
-// SortedGridSearchLocalLinearContext is SortedGridSearchLocalLinear with
-// cooperative cancellation, polled once per observation like the
-// local-constant sorted search.
-func SortedGridSearchLocalLinearContext(ctx context.Context, x, y []float64, g Grid) (Result, error) {
-	return SortedGridSearchLocalLinearStabilityContext(ctx, x, y, g, Compensated)
-}
-
-// SortedGridSearchLocalLinearStabilityContext is
-// SortedGridSearchLocalLinearContext with an explicit summation mode for
-// the nine-sum sweep.
-// SortedGridSearchLocalLinearStability is
-// SortedGridSearchLocalLinearStabilityContext without cancellation.
-func SortedGridSearchLocalLinearStability(x, y []float64, g Grid, st Stability) (Result, error) {
-	return SortedGridSearchLocalLinearStabilityContext(context.Background(), x, y, g, st)
-}
-
+// SortedGridSearchLocalLinearStabilityContext runs the sorted
+// incremental grid search for the local-linear estimator with the
+// Epanechnikov kernel — the "ll" analogue of
+// SortedGridSearchKernelStabilityContext, showing that the paper's
+// technique is not specific to the local-constant estimator. st selects
+// the summation mode of the nine-sum sweep. ctx is polled once per
+// observation (one O(n log n) sort plus an O(n + k) sweep);
+// cancellation returns ctx.Err() and a zero Result.
 func SortedGridSearchLocalLinearStabilityContext(ctx context.Context, x, y []float64, g Grid, st Stability) (Result, error) {
 	if err := validateSample(x, y); err != nil {
 		return Result{}, err

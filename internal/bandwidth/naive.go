@@ -53,18 +53,14 @@ func cvScoreContext(ctx context.Context, x, y []float64, h float64, k kernel.Kin
 	return total / float64(n), nil
 }
 
-// NaiveGridSearch evaluates CVScore independently for every grid
-// bandwidth — the O(k·n²) algorithm the paper's sorted approach replaces —
-// and returns the arg-min. It works with any kernel, which is why it also
-// serves as the reference implementation in agreement tests.
-func NaiveGridSearch(x, y []float64, g Grid, k kernel.Kind) (Result, error) {
-	return NaiveGridSearchContext(context.Background(), x, y, g, k)
-}
-
-// NaiveGridSearchContext is NaiveGridSearch with cooperative
-// cancellation at observation granularity (each grid point's O(n²)
-// evaluation polls ctx once per observation). Cancellation returns
-// ctx.Err() and a zero Result, never a partial selection.
+// NaiveGridSearchContext evaluates CVScore independently for every grid
+// bandwidth — the O(k·n²) algorithm the paper's sorted approach
+// replaces — and returns the arg-min. It works with any kernel, which is
+// why it also serves as the reference implementation in agreement
+// tests. ctx is polled once per observation of each grid point's O(n)
+// row, so a cancelled caller is noticed within one row's work;
+// cancellation returns ctx.Err() and a zero Result, never a partial
+// selection.
 func NaiveGridSearchContext(ctx context.Context, x, y []float64, g Grid, k kernel.Kind) (Result, error) {
 	if err := validateSample(x, y); err != nil {
 		return Result{}, err

@@ -263,43 +263,21 @@ func (ws *sortedWorkspace) fill(x, y []float64, i int) {
 	sortx.QuickSort64(ws.absd, ws.yv)
 }
 
-// SortedGridSearch runs the paper's sorted incremental grid search with
-// the Epanechnikov kernel in double precision — the algorithm of Program 3
-// without the float32 narrowing. The grid must be ascending (Grid
-// guarantees it via Validate).
-func SortedGridSearch(x, y []float64, g Grid) (Result, error) {
-	return SortedGridSearchKernel(x, y, g, kernel.Epanechnikov)
-}
-
-// SortedGridSearchKernel is SortedGridSearch generalised over the
-// compact-support kernels that admit the prefix-sum decomposition
-// (Epanechnikov, Uniform, Triangular — the set the paper's footnote 1
-// identifies).
-func SortedGridSearchKernel(x, y []float64, g Grid, k kernel.Kind) (Result, error) {
-	return SortedGridSearchKernelContext(context.Background(), x, y, g, k)
-}
-
-// SortedGridSearchKernelContext is SortedGridSearchKernel with
-// cooperative cancellation: ctx is polled once per observation (each
-// observation costs an O(n log n) sort plus an O(n + k) sweep, so a
-// cancelled caller is noticed within one row's work). Cancellation
-// returns ctx.Err() and a zero Result — never a partial selection — and
-// the check only early-exits, so the float arithmetic of a completed
-// search is bit-identical to the uncancellable entry point.
-func SortedGridSearchKernelContext(ctx context.Context, x, y []float64, g Grid, k kernel.Kind) (Result, error) {
-	return SortedGridSearchKernelStabilityContext(ctx, x, y, g, k, Compensated)
-}
-
-// SortedGridSearchKernelStabilityContext is SortedGridSearchKernelContext
-// with an explicit summation mode. Uncompensated reproduces the seed's
-// plain running prefix sums; every public entry point defaults to
+// SortedGridSearchKernelStabilityContext runs the paper's sorted
+// incremental grid search in double precision — the algorithm of
+// Program 3 without the float32 narrowing — for the compact kernels
+// that admit the prefix-sum decomposition (Epanechnikov, Uniform,
+// Triangular: the set the paper's footnote 1 identifies). The grid must
+// be ascending (Grid guarantees it via Validate). st selects the
+// summation mode of the running prefix sums: Uncompensated reproduces
+// the seed's plain sums, and every public entry point defaults to
 // Compensated.
-// SortedGridSearchKernelStability is SortedGridSearchKernelStabilityContext
-// without cancellation.
-func SortedGridSearchKernelStability(x, y []float64, g Grid, k kernel.Kind, st Stability) (Result, error) {
-	return SortedGridSearchKernelStabilityContext(context.Background(), x, y, g, k, st)
-}
-
+//
+// ctx is polled once per observation (each costs an O(n log n) sort
+// plus an O(n + k) sweep, so a cancelled caller is noticed within one
+// row's work). Cancellation returns ctx.Err() and a zero Result — never
+// a partial selection — and the check only early-exits, so a completed
+// search is bit-identical whatever ctx is passed.
 func SortedGridSearchKernelStabilityContext(ctx context.Context, x, y []float64, g Grid, k kernel.Kind, st Stability) (Result, error) {
 	if err := validateSample(x, y); err != nil {
 		return Result{}, err
@@ -327,34 +305,20 @@ func SortedGridSearchKernelStabilityContext(ctx context.Context, x, y []float64,
 	return Best(g, scores), nil
 }
 
-// SortedGridSearchParallel is the goroutine-parallel version of
-// SortedGridSearch: observations are partitioned across workers, each
-// worker keeps a private score vector (the analogue of the device's
-// per-thread work), and the vectors are reduced at the end — the same
-// map/reduce structure as the CUDA program, realised with host threads.
-// workers <= 0 selects GOMAXPROCS.
-func SortedGridSearchParallel(x, y []float64, g Grid, workers int) (Result, error) {
-	return SortedGridSearchParallelContext(context.Background(), x, y, g, workers)
-}
-
-// SortedGridSearchParallelContext is SortedGridSearchParallel with
-// cooperative cancellation: every worker polls ctx once per observation
-// and bails out of its stride, so a cancelled caller frees all workers
-// within one row's work each. The reduction is skipped on cancellation
-// and ctx.Err() is returned with a zero Result.
-func SortedGridSearchParallelContext(ctx context.Context, x, y []float64, g Grid, workers int) (Result, error) {
-	return SortedGridSearchParallelStabilityContext(ctx, x, y, g, workers, Compensated)
-}
-
-// SortedGridSearchParallelStabilityContext is
-// SortedGridSearchParallelContext with an explicit summation mode for the
-// per-worker sweeps.
-// SortedGridSearchParallelStability is
-// SortedGridSearchParallelStabilityContext without cancellation.
-func SortedGridSearchParallelStability(x, y []float64, g Grid, workers int, st Stability) (Result, error) {
-	return SortedGridSearchParallelStabilityContext(context.Background(), x, y, g, workers, st)
-}
-
+// SortedGridSearchParallelStabilityContext is the goroutine-parallel
+// version of SortedGridSearchKernelStabilityContext for the
+// Epanechnikov kernel: observations are partitioned across workers,
+// each worker keeps a private score vector (the analogue of the
+// device's per-thread work), and the vectors are reduced at the end —
+// the same map/reduce structure as the CUDA program, realised with host
+// threads. workers <= 0 selects GOMAXPROCS; the reduction order follows
+// the worker count, so results are bit-identical only at equal counts.
+// st selects the per-worker sweeps' summation mode.
+//
+// Every worker polls ctx once per observation and bails out of its
+// stride, so a cancelled caller frees all workers within one row's work
+// each. The reduction is skipped on cancellation and ctx.Err() is
+// returned with a zero Result.
 func SortedGridSearchParallelStabilityContext(ctx context.Context, x, y []float64, g Grid, workers int, st Stability) (Result, error) {
 	if err := validateSample(x, y); err != nil {
 		return Result{}, err

@@ -129,58 +129,30 @@ func twoPointerFillLL(xs, ys []float64, i int, absd, delta, yv []float64) {
 	}
 }
 
-// TwoPointerGridSearch runs the two-pointer sorted sweep with the
-// Epanechnikov kernel in double precision: one global sort, then an
-// O(n) window sweep per candidate bandwidth, the candidates shared
-// across up to GOMAXPROCS goroutines.
-func TwoPointerGridSearch(x, y []float64, g Grid) (Result, error) {
-	return TwoPointerGridSearchKernel(x, y, g, kernel.Epanechnikov)
-}
-
-// TwoPointerGridSearchKernel is TwoPointerGridSearch generalised over
-// the compact-support kernels that admit the prefix-sum decomposition
-// (Epanechnikov, Uniform, Triangular).
-func TwoPointerGridSearchKernel(x, y []float64, g Grid, k kernel.Kind) (Result, error) {
-	return TwoPointerGridSearchKernelContext(context.Background(), x, y, g, k)
-}
-
-// TwoPointerGridSearchKernelContext is TwoPointerGridSearchKernel with
-// cooperative cancellation, polled once per candidate bandwidth (once
-// per observation for the Triangular kernel) — O(n) work either way.
-// Cancellation returns ctx.Err() and a zero Result — never a partial
-// selection.
-func TwoPointerGridSearchKernelContext(ctx context.Context, x, y []float64, g Grid, k kernel.Kind) (Result, error) {
-	return TwoPointerGridSearchKernelStabilityContext(ctx, x, y, g, k, Compensated)
-}
-
-// TwoPointerGridSearchKernelStabilityContext is
-// TwoPointerGridSearchKernelContext with an explicit summation mode for
-// the window moments and prefix sums (the same Stability switch as the
-// sorted search). It is TwoPointerGridSearchParallelStabilityContext
-// with workers = 0.
-// TwoPointerGridSearchKernelStability is
-// TwoPointerGridSearchKernelStabilityContext without cancellation.
-func TwoPointerGridSearchKernelStability(x, y []float64, g Grid, k kernel.Kind, st Stability) (Result, error) {
-	return TwoPointerGridSearchKernelStabilityContext(context.Background(), x, y, g, k, st)
-}
-
+// TwoPointerGridSearchKernelStabilityContext runs the two-pointer sweep
+// in double precision for the compact kernels that admit the prefix-sum
+// decomposition (Epanechnikov, Uniform, Triangular): one global sort,
+// then for Epanechnikov and Uniform an O(n) window sweep per candidate
+// bandwidth, the candidates shared across up to GOMAXPROCS goroutines.
+// st selects the summation mode of the window moments and prefix sums.
+// It is TwoPointerGridSearchParallelStabilityContext with workers = 0,
+// and polls ctx as that function does.
 func TwoPointerGridSearchKernelStabilityContext(ctx context.Context, x, y []float64, g Grid, k kernel.Kind, st Stability) (Result, error) {
 	return TwoPointerGridSearchParallelStabilityContext(ctx, x, y, g, k, 0, st)
 }
 
 // TwoPointerGridSearchParallelStabilityContext is the search behind
-// every allocating two-pointer entry point:
-// TwoPointerGridSearchKernelStabilityContext with a cap on the
-// goroutines that share the window sweep's grid (windowScores).
-// workers <= 0 selects runtime.GOMAXPROCS(0) at call time, and the
-// result is bit-identical for any cap. The Triangular kernel runs the
-// sequential merge and ignores workers.
-// TwoPointerGridSearchParallelStability is
-// TwoPointerGridSearchParallelStabilityContext without cancellation.
-func TwoPointerGridSearchParallelStability(x, y []float64, g Grid, k kernel.Kind, workers int, st Stability) (Result, error) {
-	return TwoPointerGridSearchParallelStabilityContext(context.Background(), x, y, g, k, workers, st)
-}
-
+// every allocating two-pointer entry point: the two-pointer sweep with
+// a cap on the goroutines that share the window sweep's grid
+// (windowScores). workers <= 0 selects runtime.GOMAXPROCS(0) at call
+// time, and the result is bit-identical for any cap. The Triangular
+// kernel runs the sequential merge and ignores workers.
+//
+// Each goroutine polls ctx before every candidate it claims, O(n) work
+// apart; the Triangular merge polls once per observation, also O(n)
+// work. Cancellation returns ctx.Err() and a zero Result — never a
+// partial selection.
+//
 //kernvet:bitexact
 func TwoPointerGridSearchParallelStabilityContext(ctx context.Context, x, y []float64, g Grid, k kernel.Kind, workers int, st Stability) (Result, error) {
 	if workers <= 0 {
@@ -458,30 +430,13 @@ func windowScore(xs, ys []float64, h float64, uniform, comp bool, m windowMoment
 	return score.sum()
 }
 
-// TwoPointerGridSearchLocalLinear runs the two-pointer sweep for the
-// local-linear estimator with the Epanechnikov kernel — the "ll"
-// analogue, feeding the nine-prefix-sum sweep of locallinear.go from
-// the merged enumeration instead of a per-observation argsort.
-func TwoPointerGridSearchLocalLinear(x, y []float64, g Grid) (Result, error) {
-	return TwoPointerGridSearchLocalLinearContext(context.Background(), x, y, g)
-}
-
-// TwoPointerGridSearchLocalLinearContext is
-// TwoPointerGridSearchLocalLinear with cooperative cancellation, polled
-// once per observation.
-func TwoPointerGridSearchLocalLinearContext(ctx context.Context, x, y []float64, g Grid) (Result, error) {
-	return TwoPointerGridSearchLocalLinearStabilityContext(ctx, x, y, g, Compensated)
-}
-
-// TwoPointerGridSearchLocalLinearStabilityContext is
-// TwoPointerGridSearchLocalLinearContext with an explicit summation
-// mode for the nine-sum sweep.
-// TwoPointerGridSearchLocalLinearStability is
-// TwoPointerGridSearchLocalLinearStabilityContext without cancellation.
-func TwoPointerGridSearchLocalLinearStability(x, y []float64, g Grid, st Stability) (Result, error) {
-	return TwoPointerGridSearchLocalLinearStabilityContext(context.Background(), x, y, g, st)
-}
-
+// TwoPointerGridSearchLocalLinearStabilityContext runs the two-pointer
+// sweep for the local-linear estimator with the Epanechnikov kernel —
+// the "ll" analogue, feeding the nine-prefix-sum sweep of locallinear.go
+// from the merged enumeration instead of a per-observation argsort. st
+// selects the nine-sum sweep's summation mode. ctx is polled once per
+// observation (an O(n) merge plus an O(n + k) sweep); cancellation
+// returns ctx.Err() and a zero Result.
 func TwoPointerGridSearchLocalLinearStabilityContext(ctx context.Context, x, y []float64, g Grid, st Stability) (Result, error) {
 	if err := validateSample(x, y); err != nil {
 		return Result{}, err

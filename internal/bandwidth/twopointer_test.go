@@ -164,11 +164,11 @@ func TestParallelFewerObservationsThanWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := SortedGridSearch(x, y, g)
+	want, err := SortedGridSearchKernelStabilityContext(context.Background(), x, y, g, kernel.Epanechnikov, Compensated)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := SortedGridSearchParallel(x, y, g, 8)
+	got, err := SortedGridSearchParallelStabilityContext(context.Background(), x, y, g, 8, Compensated)
 	if err != nil {
 		t.Fatalf("sorted-parallel with workers > n: %v", err)
 	}
@@ -384,7 +384,7 @@ func TestWindowSweepAccuracy(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					got, err := TwoPointerGridSearchKernelContext(ctx, c.x, c.y, r.g, r.k)
+					got, err := TwoPointerGridSearchKernelStabilityContext(ctx, c.x, c.y, r.g, r.k, Compensated)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -410,11 +410,11 @@ func TestTwoPointerLocalLinearMatchesSorted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := SortedGridSearchLocalLinear(x, y, g)
+	want, err := SortedGridSearchLocalLinearStabilityContext(context.Background(), x, y, g, Compensated)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := TwoPointerGridSearchLocalLinear(x, y, g)
+	got, err := TwoPointerGridSearchLocalLinearStabilityContext(context.Background(), x, y, g, Compensated)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -550,11 +550,11 @@ func TestWindowSweepNonFiniteX(t *testing.T) {
 			y := []float64{1, 0, 2, 1, 3, 2, 0, 1}
 			x[pos] = bad
 			for _, k := range []kernel.Kind{kernel.Epanechnikov, kernel.Uniform} {
-				if _, err := TwoPointerGridSearchKernel(x, y, g, k); err != nil {
+				if _, err := TwoPointerGridSearchKernelStabilityContext(context.Background(), x, y, g, k, Compensated); err != nil {
 					t.Errorf("x[%d]=%v %v: %v", pos, bad, k, err)
 				}
 			}
-			if _, err := TwoPointerGridSearchParallelStability(x, y, g, kernel.Epanechnikov, 3, Compensated); err != nil {
+			if _, err := TwoPointerGridSearchParallelStabilityContext(context.Background(), x, y, g, kernel.Epanechnikov, 3, Compensated); err != nil {
 				t.Errorf("x[%d]=%v parallel: %v", pos, bad, err)
 			}
 		}
@@ -575,7 +575,7 @@ func TestWindowSweepExtremeBandwidths(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := TwoPointerGridSearchKernelContext(ctx, x, y, g, k)
+		got, err := TwoPointerGridSearchKernelStabilityContext(ctx, x, y, g, k, Compensated)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -25,7 +26,7 @@ func TestSelectNumericalFindsReasonableBandwidth(t *testing.T) {
 	// The CV at the numerical optimum should be no worse than a coarse
 	// grid's best (same objective, finer search).
 	g, _ := bandwidth.DefaultGrid(d.X, 25)
-	grid, _ := bandwidth.NaiveGridSearch(d.X, d.Y, g, kernel.Epanechnikov)
+	grid, _ := bandwidth.NaiveGridSearchContext(context.Background(), d.X, d.Y, g, kernel.Epanechnikov)
 	if r.CV > grid.CV*1.05 {
 		t.Errorf("numerical CV %v much worse than grid CV %v", r.CV, grid.CV)
 	}
@@ -100,7 +101,7 @@ func TestLocalMinimumSensitivity(t *testing.T) {
 		t.Error("multi-start should spend more evaluations")
 	}
 	g, _ := bandwidth.DefaultGrid(d.X, 200)
-	grid, err := bandwidth.SortedGridSearch(d.X, d.Y, g)
+	grid, err := bandwidth.SortedGridSearchKernelStabilityContext(context.Background(), d.X, d.Y, g, kernel.Epanechnikov, bandwidth.Compensated)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +165,7 @@ func TestNumericalAgreesWithFineGridOnSmoothSurface(t *testing.T) {
 		t.Fatal(err)
 	}
 	g, _ := bandwidth.DefaultGrid(d.X, 500)
-	grid, err := bandwidth.SortedGridSearch(d.X, d.Y, g)
+	grid, err := bandwidth.SortedGridSearchKernelStabilityContext(context.Background(), d.X, d.Y, g, kernel.Epanechnikov, bandwidth.Compensated)
 	if err != nil {
 		t.Fatal(err)
 	}

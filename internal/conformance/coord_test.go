@@ -23,9 +23,9 @@ func singleNode(t *testing.T, method string, x, y []float64, g bandwidth.Grid) b
 	)
 	switch method {
 	case "sorted":
-		res, err = bandwidth.SortedGridSearchKernelContext(ctx, x, y, g, kernel.Epanechnikov)
+		res, err = bandwidth.SortedGridSearchKernelStabilityContext(ctx, x, y, g, kernel.Epanechnikov, bandwidth.Compensated)
 	case "twopointer":
-		res, err = bandwidth.TwoPointerGridSearchKernelContext(ctx, x, y, g, kernel.Epanechnikov)
+		res, err = bandwidth.TwoPointerGridSearchKernelStabilityContext(ctx, x, y, g, kernel.Epanechnikov, bandwidth.Compensated)
 	case "naive":
 		res, err = bandwidth.NaiveGridSearchContext(ctx, x, y, g, kernel.Epanechnikov)
 	default:

@@ -62,16 +62,6 @@ func (m Matrix) Cell(selector, dataset string) (Cell, bool) {
 	return c, ok
 }
 
-// AllPass reports whether no cell failed.
-func (m Matrix) AllPass() bool {
-	for _, c := range m.Cells {
-		if c.Status == Fail {
-			return false
-		}
-	}
-	return true
-}
-
 // Failures returns the failing cells, ordered deterministically.
 func (m Matrix) Failures() []Cell {
 	var out []Cell

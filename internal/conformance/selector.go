@@ -37,6 +37,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/gpu"
 	"repro/internal/kernel"
+	"repro/internal/method"
 	"repro/kernreg"
 )
 
@@ -142,43 +143,29 @@ func Registry() []Selector {
 	return []Selector{
 		{
 			Name: "naive", Class: Exact, Family: LocalConstant, MinN: 2,
-			Run: func(ctx context.Context, x, y []float64, g bandwidth.Grid) (bandwidth.Result, error) {
-				return bandwidth.NaiveGridSearchContext(ctx, x, y, g, kernel.Epanechnikov)
-			},
+			Run: tableRun("naive", method.CV, 0),
 		},
 		{
 			Name: "sorted", Class: Exact, Family: LocalConstant, MinN: 2,
-			Run: func(ctx context.Context, x, y []float64, g bandwidth.Grid) (bandwidth.Result, error) {
-				return bandwidth.SortedGridSearchKernelContext(ctx, x, y, g, kernel.Epanechnikov)
-			},
+			Run: tableRun("sorted", method.CV, 0),
 		},
 		{
-			// sorted-ctx exercises the context-aware entry point directly
-			// (the "sorted" adapter above reaches the same code, but this
-			// pins the exported Context variant into the agreement matrix
-			// so a divergence in the delegation shim cannot hide).
+			// sorted-ctx runs the same table entry as sorted; the row is
+			// kept so the agreement matrix keeps its shape.
 			Name: "sorted-ctx", Class: Exact, Family: LocalConstant, MinN: 2,
-			Run: func(ctx context.Context, x, y []float64, g bandwidth.Grid) (bandwidth.Result, error) {
-				return bandwidth.SortedGridSearchKernelContext(ctx, x, y, g, kernel.Epanechnikov)
-			},
+			Run: tableRun("sorted", method.CV, 0),
 		},
 		{
 			Name: "sorted-parallel", Class: Exact, Family: LocalConstant, MinN: 2,
-			Run: func(ctx context.Context, x, y []float64, g bandwidth.Grid) (bandwidth.Result, error) {
-				return bandwidth.SortedGridSearchParallelContext(ctx, x, y, g, 4)
-			},
+			Run: tableRun("sorted-parallel", method.CV, 4),
 		},
 		{
 			Name: "twopointer", Class: Exact, Family: LocalConstant, MinN: 2,
-			Run: func(ctx context.Context, x, y []float64, g bandwidth.Grid) (bandwidth.Result, error) {
-				return bandwidth.TwoPointerGridSearchKernelContext(ctx, x, y, g, kernel.Epanechnikov)
-			},
+			Run: tableRun("twopointer", method.CV, 0),
 		},
 		{
 			Name: "twopointer-parallel", Class: Exact, Family: LocalConstant, MinN: 2,
-			Run: func(ctx context.Context, x, y []float64, g bandwidth.Grid) (bandwidth.Result, error) {
-				return bandwidth.TwoPointerGridSearchParallelStabilityContext(ctx, x, y, g, kernel.Epanechnikov, 4, bandwidth.Compensated)
-			},
+			Run: tableRun("twopointer-parallel", method.CV, 4),
 		},
 		{
 			// coord-sharded routes every dataset through a 3-replica
@@ -204,22 +191,15 @@ func Registry() []Selector {
 		},
 		{
 			Name: "sorted-f32", Class: Float32, Family: LocalConstant, MinN: 2,
-			Run: func(ctx context.Context, x, y []float64, g bandwidth.Grid) (bandwidth.Result, error) {
-				return core.SortedSequentialContext(ctx, x, y, g)
-			},
+			Run: tableRun("sorted-f32", method.CV, 0),
 		},
 		{
 			Name: "twopointer-f32", Class: Float32, Family: LocalConstant, MinN: 2,
-			Run: func(ctx context.Context, x, y []float64, g bandwidth.Grid) (bandwidth.Result, error) {
-				return core.TwoPointerSequentialContext(ctx, x, y, g)
-			},
+			Run: tableRun("twopointer-f32", method.CV, 0),
 		},
 		{
 			Name: "gpu", Class: Float32, Family: LocalConstant, MinN: 2,
-			Run: func(ctx context.Context, x, y []float64, g bandwidth.Grid) (bandwidth.Result, error) {
-				r, _, err := core.SelectGPUContext(ctx, x, y, g, core.GPUOptions{KeepScores: true})
-				return r, err
-			},
+			Run: tableRun("gpu", method.CV, 0),
 		},
 		{
 			Name: "gpu-tiled", Class: Float32, Family: LocalConstant, MinN: 2,
@@ -263,21 +243,15 @@ func Registry() []Selector {
 		},
 		{
 			Name: "ll-naive", Class: Exact, Family: LocalLinear, MinN: 2,
-			Run: func(ctx context.Context, x, y []float64, g bandwidth.Grid) (bandwidth.Result, error) {
-				return bandwidth.NaiveGridSearchLocalLinearContext(ctx, x, y, g, kernel.Epanechnikov)
-			},
+			Run: tableRun("naive", method.LocalLinearCV, 0),
 		},
 		{
 			Name: "ll-sorted", Class: Exact, Family: LocalLinear, MinN: 2,
-			Run: func(ctx context.Context, x, y []float64, g bandwidth.Grid) (bandwidth.Result, error) {
-				return bandwidth.SortedGridSearchLocalLinearContext(ctx, x, y, g)
-			},
+			Run: tableRun("sorted", method.LocalLinearCV, 0),
 		},
 		{
 			Name: "ll-twopointer", Class: Exact, Family: LocalLinear, MinN: 2,
-			Run: func(ctx context.Context, x, y []float64, g bandwidth.Grid) (bandwidth.Result, error) {
-				return bandwidth.TwoPointerGridSearchLocalLinearContext(ctx, x, y, g)
-			},
+			Run: tableRun("twopointer", method.LocalLinearCV, 0),
 		},
 		{
 			// bagged runs with deliberately small fixed parameters (5 bags
@@ -313,6 +287,23 @@ func Registry() []Selector {
 				return bandwidth.Result{H: r.H, CV: r.CV, Index: -1}, nil
 			},
 		},
+	}
+}
+
+// tableRun adapts a method-table search to the Selector interface: the
+// named row's engine for objective o, on the Epanechnikov kernel with
+// compensated sums and the score vector kept, capped at workers
+// goroutines (0 = GOMAXPROCS). It is the same call kernreg makes, minus
+// the option parsing and the grid construction.
+func tableRun(name string, o method.Objective, workers int) func(ctx context.Context, x, y []float64, g bandwidth.Grid) (bandwidth.Result, error) {
+	i, ok := method.Lookup(name)
+	if !ok {
+		panic("conformance: no method " + name)
+	}
+	run := method.Rows()[i].Search(o).Run
+	spec := method.Spec{Kernel: kernel.Epanechnikov, Stability: bandwidth.Compensated, Workers: workers, KeepScores: true}
+	return func(ctx context.Context, x, y []float64, g bandwidth.Grid) (bandwidth.Result, error) {
+		return run(ctx, x, y, g, spec)
 	}
 }
 

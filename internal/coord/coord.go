@@ -24,6 +24,7 @@ import (
 
 	"repro/internal/bandwidth"
 	"repro/internal/kernel"
+	"repro/internal/method"
 	"repro/internal/serve"
 	"repro/internal/wire"
 	"repro/kernreg"
@@ -73,9 +74,11 @@ type Config struct {
 type Job struct {
 	X, Y []float64
 	Grid bandwidth.Grid
-	// Method is the worker-side selector: "", "sorted", "twopointer",
-	// "naive", "sorted-parallel" or "twopointer-parallel". Only the
-	// float64 host family is shardable (bit-identity per grid point).
+	// Method names a shardable row of the method table
+	// (internal/method): "sorted", "sorted-parallel", "naive",
+	// "twopointer" or "twopointer-parallel"; empty means "sorted".
+	// Select rejects any other name, and a kernel the row does not
+	// accept, before sending a shard.
 	Method string
 	// Kernel is the kernel name; "" means "epanechnikov".
 	Kernel string
@@ -136,24 +139,6 @@ func New(cfg Config) (*Coordinator, error) {
 // Metrics exposes the coordinator's counters (rendered by /metrics).
 func (c *Coordinator) Metrics() *Metrics { return c.metrics }
 
-// shardMethod validates a Job.Method and returns the kernreg.Method
-// used in the cache fingerprint.
-func shardMethod(name string) (kernreg.Method, error) {
-	switch name {
-	case "", "sorted":
-		return kernreg.MethodSorted, nil
-	case "twopointer":
-		return kernreg.MethodTwoPointer, nil
-	case "naive":
-		return kernreg.MethodNaive, nil
-	case "sorted-parallel":
-		return kernreg.MethodSortedParallel, nil
-	case "twopointer-parallel":
-		return kernreg.MethodTwoPointerParallel, nil
-	}
-	return 0, fmt.Errorf("coord: method %q is not shardable (want sorted, twopointer, naive, or a -parallel variant)", name)
-}
-
 // Select runs one sharded selection. The result is bit-identical to
 // running the same job on a single replica.
 //
@@ -165,16 +150,24 @@ func (c *Coordinator) Select(ctx context.Context, job Job) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
-	method, err := shardMethod(job.Method)
+	row, err := method.Shard(job.Method)
 	if err != nil {
-		return Result{}, err
+		return Result{}, fmt.Errorf("coord: %w", err)
 	}
 	kernelName := job.Kernel
 	if kernelName == "" {
 		kernelName = kernel.Epanechnikov.String()
 	}
-	if _, err := kernel.Parse(kernelName); err != nil {
+	kern, err := kernel.Parse(kernelName)
+	if err != nil {
 		return Result{}, fmt.Errorf("coord: %w", err)
+	}
+	if err := row.Check(method.CV, kern); err != nil {
+		return Result{}, fmt.Errorf("coord: %w", err)
+	}
+	m, err := kernreg.ParseMethod(row.Name)
+	if err != nil {
+		return Result{}, err
 	}
 	if len(job.X) != len(job.Y) {
 		return Result{}, fmt.Errorf("coord: X has %d observations, Y has %d", len(job.X), len(job.Y))
@@ -187,7 +180,7 @@ func (c *Coordinator) Select(ctx context.Context, job Job) (Result, error) {
 	}
 	c.metrics.IncRequests()
 	start := time.Now()
-	res, err := c.runSelect(ctx, job, method, kernelName)
+	res, err := c.runSelect(ctx, job, m, kernelName)
 	if err != nil {
 		return Result{}, err
 	}
@@ -203,11 +196,11 @@ func (c *Coordinator) Select(ctx context.Context, job Job) (Result, error) {
 // so nothing in here can let the clock influence the returned bits.
 //
 //kernvet:bitexact
-func (c *Coordinator) runSelect(ctx context.Context, job Job, method kernreg.Method, kernelName string) (Result, error) {
+func (c *Coordinator) runSelect(ctx context.Context, job Job, m kernreg.Method, kernelName string) (Result, error) {
 	stable := job.Stable == nil || *job.Stable
 	var key kernreg.Fingerprint
 	if c.cache != nil {
-		key = kernreg.FingerprintSelect(job.X, job.Y, job.Grid.H, method, kernelName, stable, job.KeepScores)
+		key = kernreg.FingerprintSelect(job.X, job.Y, job.Grid.H, m, kernelName, stable, job.KeepScores)
 		if res, ok := c.cache.get(key); ok {
 			res.CacheHit = true
 			return res, nil
@@ -317,10 +310,16 @@ func mergeShards(job Job, assigns []shardAssign, shards []serve.ShardResponse) (
 		}
 		want := assigns[i].hi - assigns[i].lo
 		if sh.Index < 0 || sh.Index >= want {
-			return Result{}, fmt.Errorf("coord: shard %d index %d outside its %d-point grid", i, sh.Index, want)
+			return Result{}, &ShardMismatchError{Shard: i, Detail: fmt.Sprintf("index %d outside its %d-point grid", sh.Index, want)}
 		}
 		if sh.Offset != assigns[i].lo {
-			return Result{}, fmt.Errorf("coord: shard %d echoed offset %d, want %d", i, sh.Offset, assigns[i].lo)
+			return Result{}, &ShardMismatchError{Shard: i, Detail: fmt.Sprintf("echoed offset %d, want %d", sh.Offset, assigns[i].lo)}
+		}
+		// The winner's h must be the requested candidate itself: a
+		// replica answering with any other h would otherwise become
+		// Result.H unnoticed.
+		if gh := job.Grid.H[assigns[i].lo+sh.Index]; math.Float64bits(h) != math.Float64bits(gh) {
+			return Result{}, &ShardMismatchError{Shard: i, Detail: fmt.Sprintf("h_bits %s at index %d, want grid value %s", wire.FormatBits(h), sh.Index, wire.FormatBits(gh))}
 		}
 		vals[i] = shardVal{h: h, cv: cv, index: sh.Index}
 		if job.KeepScores {
@@ -329,7 +328,7 @@ func mergeShards(job Job, assigns []shardAssign, shards []serve.ShardResponse) (
 				return Result{}, fmt.Errorf("coord: shard %d scores_b64: %w", i, err)
 			}
 			if len(scores) != want {
-				return Result{}, fmt.Errorf("coord: shard %d returned %d scores for a %d-point grid", i, len(scores), want)
+				return Result{}, &ShardMismatchError{Shard: i, Detail: fmt.Sprintf("returned %d scores for a %d-point grid", len(scores), want)}
 			}
 			vals[i].scores = scores
 		}
@@ -357,6 +356,22 @@ func mergeShards(job Job, assigns []shardAssign, shards []serve.ShardResponse) (
 		out.Scores = scores
 	}
 	return out, nil
+}
+
+// ShardMismatchError reports a shard response that parses but does not
+// answer the shard it was sent: a winner index outside the shard's
+// grid, a wrong echoed offset, an h that is not the grid value at the
+// winner's index, or a score vector of the wrong length. The job fails
+// rather than merge it.
+type ShardMismatchError struct {
+	// Shard is the shard's position in the job's plan.
+	Shard int
+	// Detail says what disagreed.
+	Detail string
+}
+
+func (e *ShardMismatchError) Error() string {
+	return fmt.Sprintf("coord: shard %d %s", e.Shard, e.Detail)
 }
 
 // shardAssign is one contiguous grid range and its worker preference

@@ -1,17 +1,26 @@
 package coord
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"net/http"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/bandwidth"
 	"repro/internal/kernel"
+	"repro/internal/method"
 	"repro/internal/serve"
+	"repro/internal/wire"
+	"repro/kernreg"
 )
 
 func testData(n int, seed int64) (x, y []float64) {
@@ -39,37 +48,24 @@ func testCluster(t *testing.T, n int, cfg Config) *Coordinator {
 	return c
 }
 
-// single runs the same job on a single node through the bandwidth
-// package directly — the reference the coordinator must match bitwise.
+// single runs the same job on a single node through the method table's
+// engine directly — the reference the coordinator must match bitwise.
 func single(t *testing.T, job Job) bandwidth.Result {
 	t.Helper()
-	st := bandwidth.Compensated
-	if job.Stable != nil && !*job.Stable {
-		st = bandwidth.Uncompensated
+	row, err := method.Shard(job.Method)
+	if err != nil {
+		t.Fatal(err)
 	}
-	kern := kernel.Epanechnikov
+	spec := method.Spec{Kernel: kernel.Epanechnikov, Stability: bandwidth.Compensated}
+	if job.Stable != nil && !*job.Stable {
+		spec.Stability = bandwidth.Uncompensated
+	}
 	if job.Kernel != "" {
-		var err error
-		kern, err = kernel.Parse(job.Kernel)
-		if err != nil {
+		if spec.Kernel, err = kernel.Parse(job.Kernel); err != nil {
 			t.Fatal(err)
 		}
 	}
-	var (
-		res bandwidth.Result
-		err error
-	)
-	ctx := context.Background()
-	switch job.Method {
-	case "", "sorted":
-		res, err = bandwidth.SortedGridSearchKernelStabilityContext(ctx, job.X, job.Y, job.Grid, kern, st)
-	case "twopointer":
-		res, err = bandwidth.TwoPointerGridSearchKernelStabilityContext(ctx, job.X, job.Y, job.Grid, kern, st)
-	case "naive":
-		res, err = bandwidth.NaiveGridSearchContext(ctx, job.X, job.Y, job.Grid, kern)
-	default:
-		t.Fatalf("no single-node reference for method %q", job.Method)
-	}
+	res, err := row.CV.Run(context.Background(), job.X, job.Y, job.Grid, spec)
 	if err != nil {
 		t.Fatalf("single-node %q: %v", job.Method, err)
 	}
@@ -122,6 +118,190 @@ func TestSelectBitIdenticalToSingleNode(t *testing.T) {
 			}
 			requireBitEqual(t, fmt.Sprintf("%s/shards=%d", method, shards), got, want, true)
 		}
+	}
+}
+
+// TestSelectEveryShardableRowMatchesKernreg covers every row the method
+// table marks shardable, with every kernel the row lists: the merged
+// answer over two replicas equals kernreg's single-node selection on the
+// same grid bit for bit in H, CV, Index and every score.
+func TestSelectEveryShardableRowMatchesKernreg(t *testing.T) {
+	x, y := testData(120, 12)
+	const k = 23
+	g, err := bandwidth.DefaultGrid(x, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := testCluster(t, 2, Config{Shards: 2})
+	covered := 0
+	for _, row := range method.Rows() {
+		if !row.Shardable {
+			continue
+		}
+		m, err := kernreg.ParseMethod(row.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, kern := range row.CV.Kernels {
+			label := row.Name + "/" + kern.String()
+			want, err := kernreg.SelectBandwidth(x, y, kernreg.WithMethod(m), kernreg.WithKernel(kern.String()),
+				kernreg.GridSize(k), kernreg.KeepScores())
+			if err != nil {
+				t.Fatalf("%s: kernreg: %v", label, err)
+			}
+			got, err := c.Select(context.Background(), Job{X: x, Y: y, Grid: g, Method: row.Name, Kernel: kern.String(), KeepScores: true})
+			if err != nil {
+				t.Fatalf("%s: coord: %v", label, err)
+			}
+			if got.Shards != 2 {
+				t.Errorf("%s: ran %d shards, want 2", label, got.Shards)
+			}
+			requireBitEqual(t, label, got, bandwidth.Result{H: want.Bandwidth, CV: want.CV, Index: want.Index, Scores: want.Scores}, true)
+			covered++
+		}
+	}
+	if covered < 5 {
+		t.Fatalf("only %d (method, kernel) pairs covered", covered)
+	}
+}
+
+// TestNonShardableRowsRejected: every row the table does not mark
+// shardable is refused by a replica's /v1/shard and by Select.
+func TestNonShardableRowsRejected(t *testing.T) {
+	x, y := testData(40, 13)
+	g, err := bandwidth.DefaultGrid(x, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := serve.New(serve.Config{Workers: 1})
+	w := InProcess("w0", srv.Handler())
+	c, err := New(Config{Workers: []*Worker{w}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rejected := 0
+	for _, row := range method.Rows() {
+		if row.Shardable {
+			continue
+		}
+		_, err := w.Shard(context.Background(), serve.ShardRequest{
+			XB64: wire.EncodeFloat64s(x), YB64: wire.EncodeFloat64s(y), GridB64: wire.EncodeFloat64s(g.H), Method: row.Name,
+		})
+		var se *statusError
+		if !errors.As(err, &se) || se.status != http.StatusBadRequest {
+			t.Errorf("/v1/shard %s: %v, want a 400", row.Name, err)
+		}
+		if _, err := c.Select(context.Background(), Job{X: x, Y: y, Grid: g, Method: row.Name}); err == nil {
+			t.Errorf("Select accepted non-shardable method %s", row.Name)
+		}
+		rejected++
+	}
+	if rejected == 0 {
+		t.Fatal("the method table marks every row shardable")
+	}
+	if got := srv.Metrics().Failures.Value(); got != 0 {
+		t.Errorf("replica failures = %d, want 0", got)
+	}
+}
+
+// countingTransport serves h and counts the /v1/shard requests it sees.
+type countingTransport struct {
+	h      http.Handler
+	shards *atomic.Int64
+}
+
+func (ct countingTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.URL.Path == "/v1/shard" {
+		ct.shards.Add(1)
+	}
+	return handlerTransport{h: ct.h}.RoundTrip(req)
+}
+
+// TestSelectRejectsUnsupportedKernelBeforeDispatch: a kernel the row
+// does not list fails Select before any shard leaves the coordinator.
+func TestSelectRejectsUnsupportedKernelBeforeDispatch(t *testing.T) {
+	x, y := testData(40, 14)
+	g, err := bandwidth.DefaultGrid(x, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var shards atomic.Int64
+	srv := serve.New(serve.Config{Workers: 1})
+	w := &Worker{Name: "w0", BaseURL: "http://w0", Client: &http.Client{Transport: countingTransport{h: srv.Handler(), shards: &shards}}}
+	c, err := New(Config{Workers: []*Worker{w}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []struct{ method, kernel string }{
+		{"sorted", "gaussian"},
+		{"sorted-parallel", "uniform"},
+		{"twopointer", "gaussian"},
+		{"twopointer-parallel", "triangular"},
+	} {
+		_, err := c.Select(context.Background(), Job{X: x, Y: y, Grid: g, Method: p.method, Kernel: p.kernel})
+		if err == nil || !strings.Contains(err.Error(), "kernel") {
+			t.Errorf("%s/%s: error %v, want a kernel rejection", p.method, p.kernel, err)
+		}
+	}
+	if n := shards.Load(); n != 0 {
+		t.Errorf("%d shards sent for rejected jobs, want 0", n)
+	}
+}
+
+// wrongHTransport answers /v1/shard from h, then replaces the winner's
+// h_bits with the next float64 up: a replica that reports a bandwidth
+// it was not asked to score.
+type wrongHTransport struct{ h http.Handler }
+
+func (wt wrongHTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := handlerTransport{h: wt.h}.RoundTrip(req)
+	if err != nil || req.URL.Path != "/v1/shard" || resp.StatusCode != http.StatusOK {
+		return resp, err
+	}
+	defer resp.Body.Close()
+	var sr serve.ShardResponse
+	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
+		return nil, err
+	}
+	h, err := wire.ParseBits(sr.HBits)
+	if err != nil {
+		return nil, err
+	}
+	sr.HBits = wire.FormatBits(math.Nextafter(h, math.Inf(1)))
+	b, err := json.Marshal(sr)
+	if err != nil {
+		return nil, err
+	}
+	resp.Body = io.NopCloser(bytes.NewReader(b))
+	resp.ContentLength = int64(len(b))
+	return resp, nil
+}
+
+// TestSelectRejectsMismatchedShardH: a shard whose h_bits differ from
+// grid[lo+index] fails the job with a ShardMismatchError instead of
+// becoming Result.H.
+func TestSelectRejectsMismatchedShardH(t *testing.T) {
+	x, y := testData(60, 15)
+	g, err := bandwidth.DefaultGrid(x, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := serve.New(serve.Config{Workers: 1})
+	w := &Worker{Name: "liar", BaseURL: "http://liar", Client: &http.Client{Transport: wrongHTransport{h: srv.Handler()}}}
+	c, err := New(Config{Workers: []*Worker{w}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.Select(context.Background(), Job{X: x, Y: y, Grid: g, Method: "twopointer"})
+	var me *ShardMismatchError
+	if !errors.As(err, &me) {
+		t.Fatalf("Select = %+v, %v; want a *ShardMismatchError", res, err)
+	}
+	if me.Shard != 0 || !strings.Contains(me.Detail, "h_bits") {
+		t.Errorf("mismatch %+v, want shard 0 and an h_bits detail", me)
+	}
+	if c.metrics.Failures.Value() != 1 {
+		t.Errorf("failures = %d, want 1", c.metrics.Failures.Value())
 	}
 }
 

@@ -66,19 +66,10 @@ func (s Selector) String() string {
 // against each other for identical per-observation residuals.
 //
 // The prefix sums and the cross-observation score accumulation use
-// Neumaier compensation; SortedSequentialUncompensated preserves the
+// Neumaier compensation; SortedSequentialUncompensatedContext preserves the
 // paper's plain float32 accumulation for ablation and agreement tests.
 func SortedSequential(x, y []float64, g bandwidth.Grid) (bandwidth.Result, error) {
 	return SortedSequentialContext(context.Background(), x, y, g)
-}
-
-// SortedSequentialUncompensated runs Program 3 with the paper's original
-// plain float32 running sums (no compensation). Kept so the stability
-// battery can measure how much error compensation removes, and so
-// agreement tests can still reproduce the exact arithmetic of the
-// paper's C program.
-func SortedSequentialUncompensated(x, y []float64, g bandwidth.Grid) (bandwidth.Result, error) {
-	return SortedSequentialUncompensatedContext(context.Background(), x, y, g)
 }
 
 // SortedSequentialContext is SortedSequential with cooperative
@@ -90,8 +81,11 @@ func SortedSequentialContext(ctx context.Context, x, y []float64, g bandwidth.Gr
 	return sortedSequential(ctx, x, y, g, false)
 }
 
-// SortedSequentialUncompensatedContext is SortedSequentialUncompensated
-// with cooperative cancellation.
+// SortedSequentialUncompensatedContext runs Program 3 with the paper's
+// original plain float32 running sums (no compensation). Kept so the
+// stability battery can measure how much error compensation removes, and
+// so agreement tests can still reproduce the exact arithmetic of the
+// paper's C program. It polls ctx like SortedSequentialContext.
 func SortedSequentialUncompensatedContext(ctx context.Context, x, y []float64, g bandwidth.Grid) (bandwidth.Result, error) {
 	return sortedSequential(ctx, x, y, g, true)
 }
@@ -128,14 +122,6 @@ func sortedSequential(ctx context.Context, x, y []float64, g bandwidth.Grid, unc
 		out[jh] = float64(scores[jh]+comp[jh]) / float64(n)
 	}
 	return bandwidth.Best(g, out), nil
-}
-
-// SortedParallel runs the native multicore port of the sorted grid search
-// (double precision, goroutine per worker). workers <= 0 selects
-// GOMAXPROCS. This is not one of the paper's four programs; it is the
-// deliverable a Go user adopts, and the harness reports it alongside them.
-func SortedParallel(x, y []float64, g bandwidth.Grid, workers int) (bandwidth.Result, error) {
-	return bandwidth.SortedGridSearchParallel(x, y, g, workers)
 }
 
 // fillRow computes absRow[i] = |x[i]−x[j]| and yRow[i] = y[i] for all i,

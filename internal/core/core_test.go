@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -45,7 +46,7 @@ func TestSortedSequentialMatchesFloat64(t *testing.T) {
 	for _, seed := range []int64{1, 5, 9} {
 		for _, n := range []int{20, 100, 400} {
 			d, g := paperSetup(t, n, 30, seed)
-			f64, err := bandwidth.SortedGridSearch(d.X, d.Y, g)
+			f64, err := bandwidth.SortedGridSearchKernelStabilityContext(context.Background(), d.X, d.Y, g, kernel.Epanechnikov, bandwidth.Compensated)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -68,11 +69,11 @@ func TestSortedSequentialMatchesFloat64(t *testing.T) {
 
 func TestSortedParallelWraps(t *testing.T) {
 	d, g := paperSetup(t, 200, 20, 3)
-	seq, err := bandwidth.SortedGridSearch(d.X, d.Y, g)
+	seq, err := bandwidth.SortedGridSearchKernelStabilityContext(context.Background(), d.X, d.Y, g, kernel.Epanechnikov, bandwidth.Compensated)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := SortedParallel(d.X, d.Y, g, 4)
+	par, err := bandwidth.SortedGridSearchParallelStabilityContext(context.Background(), d.X, d.Y, g, 4, bandwidth.Compensated)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +116,7 @@ func TestGPUMatchesSequentialC(t *testing.T) {
 
 func TestGPUMatchesNaive(t *testing.T) {
 	d, g := paperSetup(t, 150, 25, 13)
-	naive, err := bandwidth.NaiveGridSearch(d.X, d.Y, g, kernel.Epanechnikov)
+	naive, err := bandwidth.NaiveGridSearchContext(context.Background(), d.X, d.Y, g, kernel.Epanechnikov)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,7 +396,7 @@ func TestGPUFootnoteKernels(t *testing.T) {
 	// search for each.
 	d, g := paperSetup(t, 250, 25, 19)
 	for _, kn := range []kernel.Kind{kernel.Uniform, kernel.Triangular, kernel.Epanechnikov} {
-		host, err := bandwidth.SortedGridSearchKernel(d.X, d.Y, g, kn)
+		host, err := bandwidth.SortedGridSearchKernelStabilityContext(context.Background(), d.X, d.Y, g, kn, bandwidth.Compensated)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"os"
@@ -53,9 +54,15 @@ var goldenSelectors = []struct {
 	name string
 	run  func(x, y []float64, g bandwidth.Grid) (bandwidth.Result, error)
 }{
-	{"sorted", bandwidth.SortedGridSearch},
-	{"twopointer", bandwidth.TwoPointerGridSearch},
-	{"twopointer-f32", TwoPointerSequential},
+	{"sorted", func(x, y []float64, g bandwidth.Grid) (bandwidth.Result, error) {
+		return bandwidth.SortedGridSearchKernelStabilityContext(context.Background(), x, y, g, kernel.Epanechnikov, bandwidth.Compensated)
+	}},
+	{"twopointer", func(x, y []float64, g bandwidth.Grid) (bandwidth.Result, error) {
+		return bandwidth.TwoPointerGridSearchKernelStabilityContext(context.Background(), x, y, g, kernel.Epanechnikov, bandwidth.Compensated)
+	}},
+	{"twopointer-f32", func(x, y []float64, g bandwidth.Grid) (bandwidth.Result, error) {
+		return TwoPointerSequentialContext(context.Background(), x, y, g)
+	}},
 }
 
 func currentGolden(t *testing.T) []goldenEntry {
@@ -147,8 +154,7 @@ func TestGoldenBaggedDegenerate(t *testing.T) {
 		// The seed must be irrelevant on the degenerate path: every bag is
 		// the full sample.
 		for _, seed := range []uint64{0, 7} {
-			r, err := bandwidth.BaggedGridSearch(d.X, d.Y, g, kernel.Epanechnikov,
-				bandwidth.BaggedOptions{Bags: 1, BagSize: w.N, Seed: seed})
+			r, err := bandwidth.BaggedGridSearchContext(context.Background(), d.X, d.Y, g, kernel.Epanechnikov, bandwidth.BaggedOptions{Bags: 1, BagSize: w.N, Seed: seed})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -174,7 +180,7 @@ func TestGoldenAllSelectorsAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sorted, err := bandwidth.SortedGridSearch(d.X, d.Y, g)
+		sorted, err := bandwidth.SortedGridSearchKernelStabilityContext(context.Background(), d.X, d.Y, g, kernel.Epanechnikov, bandwidth.Compensated)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -194,19 +200,19 @@ func TestGoldenAllSelectorsAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		par, err := SortedParallel(d.X, d.Y, g, 4)
+		par, err := bandwidth.SortedGridSearchParallelStabilityContext(context.Background(), d.X, d.Y, g, 4, bandwidth.Compensated)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tp, err := bandwidth.TwoPointerGridSearch(d.X, d.Y, g)
+		tp, err := bandwidth.TwoPointerGridSearchKernelStabilityContext(context.Background(), d.X, d.Y, g, kernel.Epanechnikov, bandwidth.Compensated)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tpPar, err := bandwidth.TwoPointerGridSearchParallelStability(d.X, d.Y, g, kernel.Epanechnikov, 4, bandwidth.Compensated)
+		tpPar, err := bandwidth.TwoPointerGridSearchParallelStabilityContext(context.Background(), d.X, d.Y, g, kernel.Epanechnikov, 4, bandwidth.Compensated)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tpF32, err := TwoPointerSequential(d.X, d.Y, g)
+		tpF32, err := TwoPointerSequentialContext(context.Background(), d.X, d.Y, g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -253,12 +259,12 @@ func TestGoldenDeterministicAcrossRuns(t *testing.T) {
 	}
 	// The concurrent engines too (barrier path): reductions must be
 	// deterministic because the tree order is fixed by thread id.
-	firstPar, err := SortedParallel(d.X, d.Y, g, 8)
+	firstPar, err := bandwidth.SortedGridSearchParallelStabilityContext(context.Background(), d.X, d.Y, g, 8, bandwidth.Compensated)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for run := 0; run < 3; run++ {
-		again, err := SortedParallel(d.X, d.Y, g, 8)
+		again, err := bandwidth.SortedGridSearchParallelStabilityContext(context.Background(), d.X, d.Y, g, 8, bandwidth.Compensated)
 		if err != nil {
 			t.Fatal(err)
 		}

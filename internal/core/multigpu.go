@@ -84,11 +84,6 @@ func SelectGPUMultiContext(ctx context.Context, x, y []float64, g bandwidth.Grid
 	return SelectGPUFleetContext(ctx, x, y, g, m, opt)
 }
 
-// SelectGPUFleet is SelectGPUFleetContext with a background context.
-func SelectGPUFleet(x, y []float64, g bandwidth.Grid, m gpu.Manager, opt GPUOptions) (MultiGPUResult, error) {
-	return SelectGPUFleetContext(context.Background(), x, y, g, m, opt)
-}
-
 // fleetShard is one device-sized share [start, start+count) of the
 // observations. idx is its position in the host combine, which is what
 // makes the result independent of which device runs it.

@@ -7,34 +7,24 @@ import (
 	"repro/internal/sortx"
 )
 
-// TwoPointerSequential is the single-precision two-pointer counterpart
-// of SortedSequential (Program 3): one global iterative QuickSort of the
-// float32 sample, then each observation's row is enumerated
-// nearest-first by merging the left and right runs with two pointers —
-// O(n) per row instead of the per-row O(n log n) device sort — and fed
-// to the same incremental bandwidth sweep (accumulateRow*) unchanged.
-// Rows include the self observation (distance 0, emitted first) so the
-// leave-one-out correction inside the sweep applies identically.
-func TwoPointerSequential(x, y []float64, g bandwidth.Grid) (bandwidth.Result, error) {
-	return TwoPointerSequentialContext(context.Background(), x, y, g)
-}
-
-// TwoPointerSequentialUncompensated is TwoPointerSequential with the
-// paper's plain float32 running sums — the ablation twin, matching
-// SortedSequentialUncompensated.
-func TwoPointerSequentialUncompensated(x, y []float64, g bandwidth.Grid) (bandwidth.Result, error) {
-	return TwoPointerSequentialUncompensatedContext(context.Background(), x, y, g)
-}
-
-// TwoPointerSequentialContext is TwoPointerSequential with cooperative
-// cancellation, polled once per observation. Cancellation returns
+// TwoPointerSequentialContext is the single-precision two-pointer
+// counterpart of SortedSequential (Program 3): one global iterative
+// QuickSort of the float32 sample, then each observation's row is
+// enumerated nearest-first by merging the left and right runs with two
+// pointers — O(n) per row instead of the per-row O(n log n) device sort
+// — and fed to the same incremental bandwidth sweep (accumulateRow*)
+// unchanged. Rows include the self observation (distance 0, emitted
+// first) so the leave-one-out correction inside the sweep applies
+// identically. ctx is polled once per observation; cancellation returns
 // ctx.Err() and a zero Result.
 func TwoPointerSequentialContext(ctx context.Context, x, y []float64, g bandwidth.Grid) (bandwidth.Result, error) {
 	return twoPointerSequential(ctx, x, y, g, false)
 }
 
 // TwoPointerSequentialUncompensatedContext is
-// TwoPointerSequentialUncompensated with cooperative cancellation.
+// TwoPointerSequentialContext with the paper's plain float32 running
+// sums — the ablation twin, matching
+// SortedSequentialUncompensatedContext. It polls ctx the same way.
 func TwoPointerSequentialUncompensatedContext(ctx context.Context, x, y []float64, g bandwidth.Grid) (bandwidth.Result, error) {
 	return twoPointerSequential(ctx, x, y, g, true)
 }

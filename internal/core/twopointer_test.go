@@ -29,7 +29,7 @@ func TestTwoPointerSequentialMatchesSorted(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := TwoPointerSequential(d.X, d.Y, g)
+		got, err := TwoPointerSequentialContext(context.Background(), d.X, d.Y, g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -46,11 +46,11 @@ func TestTwoPointerSequentialMatchesSorted(t *testing.T) {
 			}
 		}
 		// And the uncompensated twin against its own counterpart.
-		wantU, err := SortedSequentialUncompensated(d.X, d.Y, g)
+		wantU, err := SortedSequentialUncompensatedContext(context.Background(), d.X, d.Y, g)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotU, err := TwoPointerSequentialUncompensated(d.X, d.Y, g)
+		gotU, err := TwoPointerSequentialUncompensatedContext(context.Background(), d.X, d.Y, g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,7 +81,7 @@ func TestTwoPointerSequentialDuplicates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := TwoPointerSequential(x, y, g)
+	got, err := TwoPointerSequentialContext(context.Background(), x, y, g)
 	if err != nil {
 		t.Fatal(err)
 	}

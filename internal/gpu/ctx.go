@@ -159,9 +159,6 @@ func (tc *ThreadCtx) Const(sym *ConstSymbol, i int) float32 {
 	return sym.data[i]
 }
 
-// SharedLen returns the block's shared-memory size in float32 elements.
-func (tc *ThreadCtx) SharedLen() int { return len(tc.shared) }
-
 // SharedLoad reads shared-memory element i. In the concurrent engine a
 // read of an index another thread wrote since the last barrier is a data
 // race and faults the kernel — the simulator's shared-memory race

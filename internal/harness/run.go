@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/gpu"
+	"repro/internal/kernel"
 	"repro/internal/stats"
 )
 
@@ -155,9 +157,9 @@ func runProgram(p Program, d data.Dataset, g bandwidth.Grid, cfg Config) (bandwi
 	case ProgSeqC:
 		return core.SortedSequential(d.X, d.Y, g)
 	case ProgSortedGo:
-		return bandwidth.SortedGridSearch(d.X, d.Y, g)
+		return bandwidth.SortedGridSearchKernelStabilityContext(context.Background(), d.X, d.Y, g, kernel.Epanechnikov, bandwidth.Compensated)
 	case ProgParallelGo:
-		return bandwidth.SortedGridSearchParallel(d.X, d.Y, g, cfg.Workers)
+		return bandwidth.SortedGridSearchParallelStabilityContext(context.Background(), d.X, d.Y, g, cfg.Workers, bandwidth.Compensated)
 	default:
 		return bandwidth.Result{}, fmt.Errorf("harness: cannot run program %v directly", p)
 	}

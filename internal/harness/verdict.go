@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -83,11 +84,11 @@ func checkAgreement(cfg Config) (Check, error) {
 	if err != nil {
 		return Check{}, err
 	}
-	naive, err := bandwidth.NaiveGridSearch(d.X, d.Y, g, kernel.Epanechnikov)
+	naive, err := bandwidth.NaiveGridSearchContext(context.Background(), d.X, d.Y, g, kernel.Epanechnikov)
 	if err != nil {
 		return Check{}, err
 	}
-	sorted, err := bandwidth.SortedGridSearch(d.X, d.Y, g)
+	sorted, err := bandwidth.SortedGridSearchKernelStabilityContext(context.Background(), d.X, d.Y, g, kernel.Epanechnikov, bandwidth.Compensated)
 	if err != nil {
 		return Check{}, err
 	}
@@ -113,14 +114,14 @@ func checkAgreement(cfg Config) (Check, error) {
 func checkSortedBeatsNaive(cfg Config) (Check, error) {
 	n := 1000
 	naiveCell, _, err := measureFunc(func(d data.Dataset, g bandwidth.Grid) error {
-		_, err := bandwidth.NaiveGridSearch(d.X, d.Y, g, kernel.Epanechnikov)
+		_, err := bandwidth.NaiveGridSearchContext(context.Background(), d.X, d.Y, g, kernel.Epanechnikov)
 		return err
 	}, n, cfg)
 	if err != nil {
 		return Check{}, err
 	}
 	sortedCell, _, err := measureFunc(func(d data.Dataset, g bandwidth.Grid) error {
-		_, err := bandwidth.SortedGridSearch(d.X, d.Y, g)
+		_, err := bandwidth.SortedGridSearchKernelStabilityContext(context.Background(), d.X, d.Y, g, kernel.Epanechnikov, bandwidth.Compensated)
 		return err
 	}, n, cfg)
 	if err != nil {

@@ -48,7 +48,7 @@ func TestMeshParallelBitIdentical(t *testing.T) {
 				t.Fatalf("sequential: %v", err)
 			}
 			for _, workers := range []int{1, 2, 3, 4, 7, 0} {
-				par, err := MeshSearchParallel(tc.s, tc.grids, kernel.Epanechnikov, workers)
+				par, err := MeshSearchParallelContext(context.Background(), tc.s, tc.grids, kernel.Epanechnikov, workers)
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
@@ -86,7 +86,7 @@ func TestMeshParallelTies(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 3, 5} {
-		par, err := MeshSearchParallel(s, grids, kernel.Epanechnikov, workers)
+		par, err := MeshSearchParallelContext(context.Background(), s, grids, kernel.Epanechnikov, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,7 +107,7 @@ func TestMeshParallelNaiveFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := MeshSearchParallel(s, grids, kernel.Gaussian, 3)
+	par, err := MeshSearchParallelContext(context.Background(), s, grids, kernel.Gaussian, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/bandwidth"
 	"repro/internal/kernel"
+	"repro/internal/method"
 	"repro/internal/wire"
 )
 
@@ -35,9 +36,9 @@ type ShardRequest struct {
 	XB64    string `json:"x_b64"`
 	YB64    string `json:"y_b64"`
 	GridB64 string `json:"grid_b64"`
-	// Method names the float64 host selector to run ("sorted",
-	// "twopointer", "naive", "sorted-parallel", "twopointer-parallel");
-	// empty means "sorted".
+	// Method names a shardable row of the method table
+	// (internal/method): "sorted", "sorted-parallel", "naive",
+	// "twopointer" or "twopointer-parallel"; empty means "sorted".
 	Method string `json:"method,omitempty"`
 	// Kernel names the kernel function; empty means "epanechnikov".
 	Kernel string `json:"kernel,omitempty"`
@@ -79,104 +80,81 @@ type LoadResponse struct {
 	Worker     string `json:"worker,omitempty"`
 }
 
-// shardSelector maps a shard method name to its float64 host selector.
-// Only the host float64 family is shardable: the conformance contract
-// is bit-identity with the single-node answer, which the compensated
-// sweep guarantees per grid point (each candidate's accumulator state
-// depends only on the data and that candidate, never on which other
-// candidates share the grid).
-func shardSelector(method string) (func(ctx context.Context, x, y []float64, g bandwidth.Grid, k kernel.Kind, st bandwidth.Stability) (bandwidth.Result, error), *httpError) {
-	switch method {
-	case "", "sorted":
-		return bandwidth.SortedGridSearchKernelStabilityContext, nil
-	case "twopointer":
-		return bandwidth.TwoPointerGridSearchKernelStabilityContext, nil
-	case "naive":
-		return func(ctx context.Context, x, y []float64, g bandwidth.Grid, k kernel.Kind, _ bandwidth.Stability) (bandwidth.Result, error) {
-			return bandwidth.NaiveGridSearchContext(ctx, x, y, g, k)
-		}, nil
-	case "sorted-parallel":
-		return func(ctx context.Context, x, y []float64, g bandwidth.Grid, k kernel.Kind, st bandwidth.Stability) (bandwidth.Result, error) {
-			if k != kernel.Epanechnikov {
-				return bandwidth.Result{}, badRequest("method \"sorted-parallel\" supports only the epanechnikov kernel")
-			}
-			return bandwidth.SortedGridSearchParallelStabilityContext(ctx, x, y, g, 0, st)
-		}, nil
-	case "twopointer-parallel":
-		return func(ctx context.Context, x, y []float64, g bandwidth.Grid, k kernel.Kind, st bandwidth.Stability) (bandwidth.Result, error) {
-			if k != kernel.Epanechnikov {
-				return bandwidth.Result{}, badRequest("method \"twopointer-parallel\" supports only the epanechnikov kernel")
-			}
-			return bandwidth.TwoPointerGridSearchKernelStabilityContext(ctx, x, y, g, k, st)
-		}, nil
-	}
-	return nil, badRequest("method %q is not shardable (want sorted, twopointer, naive, or a -parallel variant)", method)
+// shardJob is a decoded /v1/shard request, validated down to the
+// method row and kernel, so the handler runs it without re-parsing.
+type shardJob struct {
+	req  *ShardRequest
+	x, y []float64
+	g    bandwidth.Grid
+	row  method.Row
+	spec method.Spec
 }
 
-// decodeShardRequest parses and validates a /v1/shard body. All
-// failures are 4xx by construction.
-func decodeShardRequest(body io.Reader, cfg Config) (*ShardRequest, []float64, []float64, bandwidth.Grid, *httpError) {
+// decodeShardRequest parses and validates a /v1/shard body, including
+// the (method, kernel) pair, so an unsupported pair is rejected before
+// it takes a pool slot. All failures are 4xx by construction.
+func decodeShardRequest(body io.Reader, cfg Config) (*shardJob, *httpError) {
 	var req ShardRequest
 	if herr := decodeJSON(body, &req); herr != nil {
-		return nil, nil, nil, bandwidth.Grid{}, herr
+		return nil, herr
 	}
 	x, err := wire.DecodeFloat64s(req.XB64)
 	if err != nil {
-		return nil, nil, nil, bandwidth.Grid{}, badRequest("x_b64: %v", err)
+		return nil, badRequest("x_b64: %v", err)
 	}
 	y, err := wire.DecodeFloat64s(req.YB64)
 	if err != nil {
-		return nil, nil, nil, bandwidth.Grid{}, badRequest("y_b64: %v", err)
+		return nil, badRequest("y_b64: %v", err)
 	}
 	gv, err := wire.DecodeFloat64s(req.GridB64)
 	if err != nil {
-		return nil, nil, nil, bandwidth.Grid{}, badRequest("grid_b64: %v", err)
+		return nil, badRequest("grid_b64: %v", err)
 	}
 	if herr := checkSample(x, y, cfg); herr != nil {
-		return nil, nil, nil, bandwidth.Grid{}, herr
+		return nil, herr
 	}
 	if len(gv) > cfg.MaxGrid {
-		return nil, nil, nil, bandwidth.Grid{}, tooLarge("grid of %d points exceeds the limit of %d", len(gv), cfg.MaxGrid)
+		return nil, tooLarge("grid of %d points exceeds the limit of %d", len(gv), cfg.MaxGrid)
 	}
 	g := bandwidth.Grid{H: gv}
 	if err := g.Validate(); err != nil {
-		return nil, nil, nil, bandwidth.Grid{}, badRequest("grid: %v", err)
+		return nil, badRequest("grid: %v", err)
 	}
 	if req.Offset < 0 {
-		return nil, nil, nil, bandwidth.Grid{}, badRequest("offset must be non-negative, got %d", req.Offset)
+		return nil, badRequest("offset must be non-negative, got %d", req.Offset)
 	}
+	spec := method.Spec{Kernel: kernel.Epanechnikov, Stability: bandwidth.Compensated}
 	if req.Kernel != "" {
-		if _, err := kernel.Parse(req.Kernel); err != nil {
-			return nil, nil, nil, bandwidth.Grid{}, badRequest("unknown kernel %q", req.Kernel)
+		if spec.Kernel, err = kernel.Parse(req.Kernel); err != nil {
+			return nil, badRequest("unknown kernel %q", req.Kernel)
 		}
 	}
-	if _, herr := shardSelector(req.Method); herr != nil {
-		return nil, nil, nil, bandwidth.Grid{}, herr
+	if req.Stable != nil && !*req.Stable {
+		spec.Stability = bandwidth.Uncompensated
 	}
-	return &req, x, y, g, nil
+	row, err := method.Shard(req.Method)
+	if err != nil {
+		return nil, badRequest("%v", err)
+	}
+	if err := row.Check(method.CV, spec.Kernel); err != nil {
+		return nil, badRequest("%v", err)
+	}
+	return &shardJob{req: &req, x: x, y: y, g: g, row: row, spec: spec}, nil
 }
 
 func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
-	req, x, y, g, herr := decodeShardRequest(r.Body, s.cfg)
+	job, herr := decodeShardRequest(r.Body, s.cfg)
 	if herr != nil {
 		s.metrics.IncRejected()
 		http.Error(w, herr.msg, herr.status)
 		return
 	}
-	sel, _ := shardSelector(req.Method)
-	kern := kernel.Epanechnikov
-	if req.Kernel != "" {
-		kern, _ = kernel.Parse(req.Kernel) // validated by the decoder
-	}
-	st := bandwidth.Compensated
-	if req.Stable != nil && !*req.Stable {
-		st = bandwidth.Uncompensated
-	}
+	req := job.req
 	start := time.Now()
 	var res bandwidth.Result
 	ok := s.runJob(w, r, "shard", func(ctx context.Context) error {
 		var err error
-		res, err = sel(ctx, x, y, g, kern, st)
+		res, err = job.row.CV.Run(ctx, job.x, job.y, job.g, job.spec)
 		return err
 	})
 	if !ok {

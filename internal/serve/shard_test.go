@@ -46,7 +46,7 @@ func TestShardBitRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(body, &sr); err != nil {
 		t.Fatal(err)
 	}
-	want, err := bandwidth.TwoPointerGridSearchKernelContext(context.Background(), x, y, bandwidth.Grid{H: g.H[lo:hi]}, kernel.Epanechnikov)
+	want, err := bandwidth.TwoPointerGridSearchKernelStabilityContext(context.Background(), x, y, bandwidth.Grid{H: g.H[lo:hi]}, kernel.Epanechnikov, bandwidth.Compensated)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestShardRejects(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, _, _, _, herr := decodeShardRequest(strings.NewReader(string(b)), cfg)
+		_, herr := decodeShardRequest(strings.NewReader(string(b)), cfg)
 		if herr == nil {
 			t.Errorf("%s: accepted", tc.name)
 			continue
@@ -155,6 +155,52 @@ func TestShardRejects(t *testing.T) {
 		if !strings.Contains(herr.msg, tc.frag) {
 			t.Errorf("%s: message %q does not mention %q", tc.name, herr.msg, tc.frag)
 		}
+	}
+}
+
+// TestShardRejectsUnsupportedKernel: a (method, kernel) pair the method
+// table does not list is a 400 from the decoder, counted as rejected,
+// and never takes a pool slot or reaches a selector (no failures).
+func TestShardRejectsUnsupportedKernel(t *testing.T) {
+	srv := New(Config{Workers: 2})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer srv.Drain(context.Background())
+
+	x, y := testdata(50, 34)
+	xb, yb := wire.EncodeFloat64s(x), wire.EncodeFloat64s(y)
+	gb := wire.EncodeFloat64s([]float64{0.1, 0.2, 0.3})
+	pairs := []struct{ method, kernel string }{
+		{"sorted", "gaussian"},
+		{"", "biweight"},
+		{"sorted-parallel", "uniform"},
+		{"twopointer", "gaussian"},
+		{"twopointer-parallel", "triangular"},
+	}
+	for _, p := range pairs {
+		req := ShardRequest{XB64: xb, YB64: yb, GridB64: gb, Method: p.method, Kernel: p.kernel}
+		b, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, herr := decodeShardRequest(strings.NewReader(string(b)), Config{}.withDefaults())
+		if herr == nil || herr.status != http.StatusBadRequest {
+			t.Fatalf("%s/%s: decoder returned %v, want a 400", p.method, p.kernel, herr)
+		}
+		if !strings.Contains(herr.msg, "kernel") || strings.Contains(herr.msg, "sorted grid search") {
+			t.Errorf("%s/%s: message %q should name the kernel, not an engine", p.method, p.kernel, herr.msg)
+		}
+		resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/shard", req)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s/%s: status %d: %s", p.method, p.kernel, resp.StatusCode, body)
+		}
+	}
+	m := srv.Metrics()
+	if got := m.Rejected.Value(); got != int64(len(pairs)) {
+		t.Errorf("rejected = %d, want %d", got, len(pairs))
+	}
+	if got := m.Failures.Value(); got != 0 {
+		t.Errorf("failures = %d, want 0: an unsupported pair reached a selector", got)
 	}
 }
 

@@ -25,8 +25,8 @@ import (
 
 	"repro/internal/bandwidth"
 	"repro/internal/baselines"
-	"repro/internal/core"
 	"repro/internal/kernel"
+	"repro/internal/method"
 	"repro/internal/regression"
 )
 
@@ -88,40 +88,16 @@ const (
 
 // String returns the method name.
 func (m Method) String() string {
-	switch m {
-	case MethodSorted:
-		return "sorted"
-	case MethodSortedParallel:
-		return "sorted-parallel"
-	case MethodSortedF32:
-		return "sorted-f32"
-	case MethodNaive:
-		return "naive"
-	case MethodNumerical:
-		return "numerical"
-	case MethodGPU:
-		return "gpu"
-	case MethodGPUTiled:
-		return "gpu-tiled"
-	case MethodTwoPointer:
-		return "twopointer"
-	case MethodTwoPointerParallel:
-		return "twopointer-parallel"
-	case MethodTwoPointerF32:
-		return "twopointer-f32"
-	case MethodBagged:
-		return "bagged"
-	default:
-		return fmt.Sprintf("kernreg.Method(%d)", int(m))
+	if r, ok := method.At(int(m)); ok {
+		return r.Name
 	}
+	return fmt.Sprintf("kernreg.Method(%d)", int(m))
 }
 
 // ParseMethod returns the Method named by s.
 func ParseMethod(s string) (Method, error) {
-	for _, m := range []Method{MethodSorted, MethodSortedParallel, MethodSortedF32, MethodNaive, MethodNumerical, MethodGPU, MethodGPUTiled, MethodTwoPointer, MethodTwoPointerParallel, MethodTwoPointerF32, MethodBagged} {
-		if m.String() == s {
-			return m, nil
-		}
+	if i, ok := method.Lookup(s); ok {
+		return Method(i), nil
 	}
 	return 0, fmt.Errorf("kernreg: unknown method %q", s)
 }
@@ -165,6 +141,20 @@ func (c config) stability() bandwidth.Stability {
 		return bandwidth.Compensated
 	}
 	return bandwidth.Uncompensated
+}
+
+// objective maps the estimator and criterion to the method table's
+// objective.
+func (c config) objective() (method.Objective, error) {
+	switch {
+	case c.estimator == LocalLinear && c.criterion == CriterionAICc:
+		return 0, errors.New("kernreg: the AICc criterion currently supports the local-constant estimator only")
+	case c.estimator == LocalLinear:
+		return method.LocalLinearCV, nil
+	case c.criterion == CriterionAICc:
+		return method.AICc, nil
+	}
+	return method.CV, nil
 }
 
 // Option configures SelectBandwidth.
@@ -318,8 +308,10 @@ func Stable(on bool) Option {
 // capacity-keyed sync.Pool, so steady-state selections allocate nothing
 // after warm-up. The trade-off is a leaner Selection: Grid and Scores
 // are left nil (their backing memory returns to the pool before
-// SelectBandwidth returns). Pooled is rejected together with KeepScores
-// or with any method other than MethodTwoPointer.
+// SelectBandwidth returns). Pooled is rejected together with
+// KeepScores, with any method other than MethodTwoPointer, and with the
+// LocalLinear estimator or the AICc criterion: it runs the
+// local-constant CV search only.
 func Pooled() Option {
 	return func(c *config) error { c.pooled = true; return nil }
 }
@@ -381,29 +373,31 @@ func SelectBandwidthContext(ctx context.Context, x, y []float64, opts ...Option)
 	if err := ctx.Err(); err != nil {
 		return Selection{}, err
 	}
+	row, ok := method.At(int(c.method))
+	if !ok {
+		return Selection{}, fmt.Errorf("kernreg: unsupported method %v", c.method)
+	}
 	if c.method != MethodBagged && c.bagOptsSet() {
 		return Selection{}, fmt.Errorf("kernreg: Bags, BagSize and Seed apply to MethodBagged only, not %v", c.method)
 	}
-	if c.estimator == LocalLinear {
-		if c.criterion != CriterionCV {
-			return Selection{}, errors.New("kernreg: the AICc criterion currently supports the local-constant estimator only")
-		}
-		return selectLocalLinear(ctx, x, y, c)
+	obj, err := c.objective()
+	if err != nil {
+		return Selection{}, err
 	}
-	if c.criterion == CriterionAICc {
-		return selectAICc(ctx, x, y, c)
-	}
-	if c.method == MethodNumerical {
-		return selectNumerical(ctx, x, y, c)
+	if err := row.Check(obj, c.kern); err != nil {
+		return Selection{}, fmt.Errorf("kernreg: %w", err)
 	}
 	if c.pooled {
-		if c.method != MethodTwoPointer {
-			return Selection{}, fmt.Errorf("kernreg: Pooled supports MethodTwoPointer only, not %v", c.method)
+		if c.method != MethodTwoPointer || obj != method.CV {
+			return Selection{}, fmt.Errorf("kernreg: Pooled supports MethodTwoPointer with local-constant CV only, not %v with %s", c.method, obj)
 		}
 		if c.keepScores {
 			return Selection{}, errors.New("kernreg: Pooled and KeepScores are mutually exclusive (scores live in pooled memory)")
 		}
 		return selectTwoPointerPooled(ctx, x, y, c)
+	}
+	if c.method == MethodNumerical {
+		return selectNumerical(ctx, x, y, c)
 	}
 	g, err := buildGrid(x, c)
 	if err != nil {
@@ -411,50 +405,7 @@ func SelectBandwidthContext(ctx context.Context, x, y []float64, opts ...Option)
 	}
 	var r bandwidth.Result
 	var bagCVVar float64
-	switch c.method {
-	case MethodSorted:
-		r, err = bandwidth.SortedGridSearchKernelStabilityContext(ctx, x, y, g, c.kern, c.stability())
-	case MethodSortedParallel:
-		if c.kern != kernel.Epanechnikov {
-			return Selection{}, errors.New("kernreg: sorted-parallel currently supports the epanechnikov kernel only")
-		}
-		r, err = bandwidth.SortedGridSearchParallelStabilityContext(ctx, x, y, g, c.workers, c.stability())
-	case MethodSortedF32:
-		if c.kern != kernel.Epanechnikov {
-			return Selection{}, errors.New("kernreg: sorted-f32 supports the epanechnikov kernel only")
-		}
-		if c.stable {
-			r, err = core.SortedSequentialContext(ctx, x, y, g)
-		} else {
-			r, err = core.SortedSequentialUncompensatedContext(ctx, x, y, g)
-		}
-	case MethodNaive:
-		r, err = bandwidth.NaiveGridSearchContext(ctx, x, y, g, c.kern)
-	case MethodGPU:
-		if c.kern != kernel.Epanechnikov && c.kern != kernel.Uniform && c.kern != kernel.Triangular {
-			return Selection{}, errors.New("kernreg: gpu method supports the epanechnikov, uniform and triangular kernels")
-		}
-		r, _, err = core.SelectGPUContext(ctx, x, y, g, core.GPUOptions{KeepScores: c.keepScores, Kernel: c.kern, Uncompensated: !c.stable})
-	case MethodGPUTiled:
-		if c.kern != kernel.Epanechnikov {
-			return Selection{}, errors.New("kernreg: gpu-tiled supports the epanechnikov kernel only")
-		}
-		r, _, _, err = core.SelectGPUTiledContext(ctx, x, y, g, core.TiledOptions{KeepScores: c.keepScores, Uncompensated: !c.stable})
-	case MethodTwoPointer, MethodTwoPointerParallel:
-		if c.method == MethodTwoPointerParallel && c.kern != kernel.Epanechnikov {
-			return Selection{}, errors.New("kernreg: twopointer-parallel currently supports the epanechnikov kernel only")
-		}
-		r, err = bandwidth.TwoPointerGridSearchParallelStabilityContext(ctx, x, y, g, c.kern, c.workers, c.stability())
-	case MethodTwoPointerF32:
-		if c.kern != kernel.Epanechnikov {
-			return Selection{}, errors.New("kernreg: twopointer-f32 supports the epanechnikov kernel only")
-		}
-		if c.stable {
-			r, err = core.TwoPointerSequentialContext(ctx, x, y, g)
-		} else {
-			r, err = core.TwoPointerSequentialUncompensatedContext(ctx, x, y, g)
-		}
-	case MethodBagged:
+	if c.method == MethodBagged {
 		var br bandwidth.BaggedResult
 		br, err = bandwidth.BaggedGridSearchContext(ctx, x, y, g, c.kern, bandwidth.BaggedOptions{
 			Bags:        c.bags,
@@ -467,17 +418,21 @@ func SelectBandwidthContext(ctx context.Context, x, y []float64, opts ...Option)
 		// Non-degenerate bags report Index -1: the rescaled aggregate is
 		// a continuum value, not a grid point. The degenerate m == n path
 		// carries the exact sweep's index and scores through unchanged.
-		r = br.Result
-		bagCVVar = br.CVVar
-	default:
-		return Selection{}, fmt.Errorf("kernreg: unsupported method %v", c.method)
+		r, bagCVVar = br.Result, br.CVVar
+	} else {
+		r, err = row.Search(obj).Run(ctx, x, y, g, method.Spec{
+			Kernel:     c.kern,
+			Stability:  c.stability(),
+			Workers:    c.workers,
+			KeepScores: c.keepScores,
+		})
 	}
 	if err != nil {
 		return Selection{}, err
 	}
 	sel := Selection{
 		Bandwidth:     r.H,
-		CV:            r.CV,
+		CV:            r.CV, // for AICc, the criterion value
 		Index:         r.Index,
 		Grid:          append([]float64(nil), g.H...),
 		Method:        c.method,

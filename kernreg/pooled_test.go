@@ -1,6 +1,7 @@
 package kernreg
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -41,16 +42,53 @@ func TestPooledMatchesUnpooled(t *testing.T) {
 	}
 }
 
+// TestPooledOptionValidation: Pooled runs the local-constant CV
+// two-pointer search only, so every other method, estimator or
+// criterion, and KeepScores, is an error rather than silently ignored.
 func TestPooledOptionValidation(t *testing.T) {
 	x, y := paperData(64, 2)
-	if _, err := SelectBandwidth(x, y, Pooled()); err == nil {
-		t.Error("Pooled with the default (sorted) method should be rejected")
+	cases := []struct {
+		name string
+		opts []Option
+	}{
+		{"default sorted", nil},
+		{"naive", []Option{WithMethod(MethodNaive)}},
+		{"numerical", []Option{WithMethod(MethodNumerical)}},
+		{"numerical keep-scores", []Option{WithMethod(MethodNumerical), KeepScores()}},
+		{"twopointer-parallel", []Option{WithMethod(MethodTwoPointerParallel)}},
+		{"bagged", []Option{WithMethod(MethodBagged)}},
+		{"twopointer keep-scores", []Option{WithMethod(MethodTwoPointer), KeepScores()}},
+		{"twopointer local-linear", []Option{WithMethod(MethodTwoPointer), WithEstimator(LocalLinear)}},
+		{"twopointer local-linear keep-scores", []Option{WithMethod(MethodTwoPointer), WithEstimator(LocalLinear), KeepScores()}},
+		{"sorted AICc", []Option{WithCriterion(CriterionAICc)}},
+		{"naive AICc keep-scores", []Option{WithMethod(MethodNaive), WithCriterion(CriterionAICc), KeepScores()}},
+		{"sorted local-linear keep-scores", []Option{WithEstimator(LocalLinear), KeepScores()}},
 	}
-	if _, err := SelectBandwidth(x, y, WithMethod(MethodNaive), Pooled()); err == nil {
-		t.Error("Pooled with MethodNaive should be rejected")
+	for _, tc := range cases {
+		sel, err := SelectBandwidth(x, y, append(tc.opts, Pooled())...)
+		if err == nil {
+			t.Errorf("%s: Pooled accepted (%d scores returned)", tc.name, len(sel.Scores))
+		}
 	}
-	if _, err := SelectBandwidth(x, y, WithMethod(MethodTwoPointer), Pooled(), KeepScores()); err == nil {
-		t.Error("Pooled with KeepScores should be rejected")
+	if _, err := SelectBandwidth(x, y, WithMethod(MethodTwoPointer), WithKernel("uniform"), Pooled()); err != nil {
+		t.Errorf("twopointer/uniform Pooled: %v", err)
+	}
+}
+
+// TestMethodNames pins every Method's name: they are wire names of
+// kernregd, kerncoord and the CLIs, and index the method table.
+func TestMethodNames(t *testing.T) {
+	want := []string{"sorted", "sorted-parallel", "sorted-f32", "naive", "numerical", "gpu", "gpu-tiled", "twopointer", "twopointer-parallel", "twopointer-f32", "bagged"}
+	if len(allMethods) != len(want) {
+		t.Fatalf("%d methods, want %d", len(allMethods), len(want))
+	}
+	for i, m := range allMethods {
+		if int(m) != i || m.String() != want[i] {
+			t.Errorf("Method %d = %d %q, want %d %q", i, int(m), m.String(), i, want[i])
+		}
+	}
+	if s := Method(len(want)).String(); !strings.Contains(s, "kernreg.Method") {
+		t.Errorf("Method past the table String() = %q", s)
 	}
 }
 

@@ -30,7 +30,7 @@ func BenchmarkTwoPointerVsSorted(b *testing.B) {
 			b.Run(fmt.Sprintf("n=%d/k=%d/sorted", n, k), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := bandwidth.SortedGridSearch(d.X, d.Y, g); err != nil {
+					if _, err := bandwidth.SortedGridSearchKernelStabilityContext(context.Background(), d.X, d.Y, g, kernel.Epanechnikov, bandwidth.Compensated); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -38,7 +38,7 @@ func BenchmarkTwoPointerVsSorted(b *testing.B) {
 			b.Run(fmt.Sprintf("n=%d/k=%d/twopointer", n, k), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := bandwidth.TwoPointerGridSearch(d.X, d.Y, g); err != nil {
+					if _, err := bandwidth.TwoPointerGridSearchKernelStabilityContext(context.Background(), d.X, d.Y, g, kernel.Epanechnikov, bandwidth.Compensated); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -82,7 +82,7 @@ func BenchmarkTwoPointerSplit(b *testing.B) {
 		return err
 	}
 	split := func(d data.Dataset, g bandwidth.Grid) error {
-		_, err := bandwidth.TwoPointerGridSearch(d.X, d.Y, g)
+		_, err := bandwidth.TwoPointerGridSearchKernelStabilityContext(context.Background(), d.X, d.Y, g, kernel.Epanechnikov, bandwidth.Compensated)
 		return err
 	}
 	cells := []struct{ n, k, callers int }{
