@@ -14,8 +14,10 @@ import (
 )
 
 // The -twopointer mode: a machine-readable head-to-head of the sorted
-// incremental grid search against its two-pointer replacement, the
-// benchmark gate for the O(n² log n) → O(n log n + k·n) claim. Each cell
+// incremental grid search (a neighbour merge per observation,
+// O(n log n + n·(n + k)); a QuickSort per observation, O(n² log n), when
+// BENCH_4.json was recorded) against the two-pointer window sweep,
+// O(n log n + k·n). Each cell
 // is measured with testing.Benchmark so ns/op and allocs/op come from
 // the standard benchmark machinery, then the whole grid is written as
 // JSON (BENCH_4.json in the repository root records one such run).

@@ -145,7 +145,7 @@ func BenchmarkExtension_AICc(b *testing.B) {
 	d, g := setup(b, 1000, benchK)
 	b.Run("sorted", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := bandwidth.SortedGridSearchAICc(d.X, d.Y, g); err != nil {
+			if _, err := bandwidth.SortedGridSearchAICcContext(context.Background(), d.X, d.Y, g); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -1,11 +1,10 @@
 package bandwidth
 
 import (
+	"context"
 	"math"
 
 	"repro/internal/kernel"
-	"repro/internal/mathx"
-	"repro/internal/sortx"
 )
 
 // AICc bandwidth selection — the other selector the R np package offers
@@ -20,7 +19,8 @@ import (
 //
 // Everything needed — the full-sample numerator/denominator sums at every
 // observation — comes from the same sorted prefix sums as the CV sweep,
-// so the entire ascending grid again costs one sort per observation.
+// so the entire ascending grid again costs one O(n) neighbour merge per
+// observation.
 
 // AICcScore evaluates the corrected-AIC criterion at a single bandwidth
 // in O(n²) (any kernel). Bandwidths whose effective degrees of freedom
@@ -79,62 +79,43 @@ func NaiveGridSearchAICc(x, y []float64, g Grid, k kernel.Kind) (Result, error) 
 	return Best(g, scores), nil
 }
 
-// SortedGridSearchAICc runs the AICc selection over an ascending grid
-// with the sorted incremental sweep (Epanechnikov). The full-sample sums
-// include the self term (distance zero, always in range), so no
+// SortedGridSearchAICcContext runs the AICc selection over an ascending
+// grid with the sorted incremental sweep (Epanechnikov, compensated
+// prefix sums). The full-sample sums include the self term, which leads
+// each observation's neighbour list at distance zero, so no
 // leave-one-out correction is needed; per observation and bandwidth the
-// sweep yields num, den, and the trace contribution K(0)/den.
-func SortedGridSearchAICc(x, y []float64, g Grid) (Result, error) {
+// sweep yields num, den, and the trace contribution K(0)/den. ctx is
+// polled once per observation; cancellation returns ctx.Err() and a
+// zero Result.
+func SortedGridSearchAICcContext(ctx context.Context, x, y []float64, g Grid) (Result, error) {
 	if err := validateSample(x, y); err != nil {
 		return Result{}, err
 	}
 	if err := g.Validate(); err != nil {
 		return Result{}, err
 	}
-	n := len(x)
-	k := g.Len()
+	n, k := len(x), g.Len()
+	ws := AcquireWorkspace(n, k)
+	defer ws.Release()
+	num, den := ws.sumBufs(k)
 	rss := make([]float64, k)
 	trH := make([]float64, k)
 	bad := make([]bool, k) // any isolated point at this h
-	absd := make([]float64, 0, n)
-	yv := make([]float64, 0, n)
-	const k0 = 0.75 // Epanechnikov K(0)
-	for i := 0; i < n; i++ {
-		absd = absd[:0]
-		yv = yv[:0]
-		xi := x[i]
-		for l, xl := range x {
-			d := xi - xl
-			if d < 0 {
-				d = -d
-			}
-			absd = append(absd, d)
-			yv = append(yv, y[l])
-		}
-		sortx.QuickSort64(absd, yv)
-		var sy, syd2, sd2 mathx.NeumaierAccumulator
-		cnt := 0
-		ptr := 0
-		for j, h := range g.H {
-			for ptr < n && absd[ptr] <= h {
-				d2 := absd[ptr] * absd[ptr]
-				sy.Add(yv[ptr])
-				syd2.Add(yv[ptr] * d2)
-				sd2.Add(d2)
-				cnt++
-				ptr++
-			}
-			h2 := h * h
-			den := 0.75 * (float64(cnt) - sd2.Sum()/h2)
-			if den <= 0 {
+	const k0 = 0.75        // Epanechnikov K(0)
+	err := ws.neighbours(x, y).rows(ctx, 0, 1, true, ws, func(yi float64, delta, yv []float64) {
+		epanechnikovSums(delta, yv, g.H, true, num, den)
+		for j := range num {
+			if den[j] <= 0 {
 				bad[j] = true
 				continue
 			}
-			num := 0.75 * (sy.Sum() - syd2.Sum()/h2)
-			r := y[i] - num/den
+			r := yi - num[j]/den[j]
 			rss[j] += r * r
-			trH[j] += k0 / den
+			trH[j] += k0 / den[j]
 		}
+	})
+	if err != nil {
+		return Result{}, err
 	}
 	scores := make([]float64, k)
 	for j := range scores {

@@ -2,7 +2,9 @@ package bandwidth
 
 import (
 	"context"
+	"errors"
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -23,7 +25,7 @@ func TestAICcSortedMatchesNaive(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sorted, err := SortedGridSearchAICc(d.X, d.Y, g)
+			sorted, err := SortedGridSearchAICcContext(context.Background(), d.X, d.Y, g)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -52,7 +54,7 @@ func TestAICcProperty(t *testing.T) {
 			return true
 		}
 		naive, err1 := NaiveGridSearchAICc(x, y, g, kernel.Epanechnikov)
-		sorted, err2 := SortedGridSearchAICc(x, y, g)
+		sorted, err2 := SortedGridSearchAICcContext(context.Background(), x, y, g)
 		if err1 != nil || err2 != nil {
 			return false
 		}
@@ -75,7 +77,7 @@ func TestAICcSelectsNearCV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	aicc, err := SortedGridSearchAICc(d.X, d.Y, g)
+	aicc, err := SortedGridSearchAICcContext(context.Background(), d.X, d.Y, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +103,7 @@ func TestAICcDegenerateCases(t *testing.T) {
 	if _, err := NaiveGridSearchAICc(d.X, d.Y[:3], g, kernel.Epanechnikov); err == nil {
 		t.Error("length mismatch should fail")
 	}
-	if _, err := SortedGridSearchAICc(d.X, d.Y, Grid{}); err == nil {
+	if _, err := SortedGridSearchAICcContext(context.Background(), d.X, d.Y, Grid{}); err == nil {
 		t.Error("empty grid should fail")
 	}
 }
@@ -111,12 +113,41 @@ func TestAICcPenalisesRoughness(t *testing.T) {
 	// at the selected optimum: the trace penalty bites.
 	d := data.GeneratePaper(300, 5)
 	g, _ := DefaultGrid(d.X, 60)
-	res, err := SortedGridSearchAICc(d.X, d.Y, g)
+	res, err := SortedGridSearchAICcContext(context.Background(), d.X, d.Y, g)
 	if err != nil {
 		t.Fatal(err)
 	}
 	small := AICcScore(d.X, d.Y, g.H[0], kernel.Epanechnikov)
 	if !(res.CV < small) && !math.IsInf(small, 1) {
 		t.Errorf("optimum %v should beat the smallest bandwidth %v", res.CV, small)
+	}
+}
+
+// TestAICcCancellation cancels the sorted AICc sweep before it starts
+// and after a few observations: each must return ctx.Err() and a zero
+// Result.
+func TestAICcCancellation(t *testing.T) {
+	d := data.GeneratePaper(200, 4)
+	g, err := DefaultGrid(d.X, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pre, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, c := range []struct {
+		name string
+		ctx  context.Context
+	}{
+		{"pre-cancelled", pre},
+		{"mid-flight", &tripCtx{Context: context.Background(), trip: 10}},
+	} {
+		name := c.name
+		got, err := SortedGridSearchAICcContext(c.ctx, d.X, d.Y, g)
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: err = %v, want context.Canceled", name, err)
+		}
+		if !reflect.DeepEqual(got, Result{}) {
+			t.Errorf("%s: cancelled search returned %+v, want a zero Result", name, got)
+		}
 	}
 }

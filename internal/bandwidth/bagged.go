@@ -162,7 +162,7 @@ func BaggedGridSearchContext(ctx context.Context, x, y []float64, g Grid, k kern
 	if err := g.Validate(); err != nil {
 		return BaggedResult{}, err
 	}
-	if _, err := sweepFunc(k, opt.Stability); err != nil {
+	if _, err := kernelSumsFor(k); err != nil {
 		return BaggedResult{}, err
 	}
 	if opt.Aggregation != AggregateMean && opt.Aggregation != AggregateMedian {

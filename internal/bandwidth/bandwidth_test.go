@@ -262,6 +262,32 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestSortedParallelWorkerCountBitIdentical pins what makes
+// sorted-parallel shardable: its scores are the same bits at any worker
+// count, because the stripes and their reduction order are fixed.
+func TestSortedParallelWorkerCountBitIdentical(t *testing.T) {
+	d := data.GeneratePaper(300, 8)
+	g, err := DefaultGrid(d.X, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range []Stability{Compensated, Uncompensated} {
+		want, err := SortedGridSearchParallelStabilityContext(context.Background(), d.X, d.Y, g, 1, st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{2, 3, 8} {
+			got, err := SortedGridSearchParallelStabilityContext(context.Background(), d.X, d.Y, g, workers, st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameBits(got, want) {
+				t.Errorf("%v: workers=%d differs bitwise from workers=1", st, workers)
+			}
+		}
+	}
+}
+
 func TestAgreementProperty(t *testing.T) {
 	// Property: sorted and naive agree on the selected index for random
 	// data of random sizes.

@@ -5,8 +5,6 @@ import (
 	"math"
 
 	"repro/internal/kernel"
-	"repro/internal/mathx"
-	"repro/internal/sortx"
 )
 
 // Local-linear cross-validation. The R np package the paper benchmarks
@@ -14,14 +12,14 @@ import (
 // regtype="ll" local-linear); this file provides the "ll" objective and
 // shows that the paper's sorted incremental trick extends to it: the
 // weighted-least-squares moments are polynomials in the signed distance
-// δ = X_i − X_l and in δ²/h², so nine prefix sums over the |δ|-sorted
+// δ = X_l − X_i and in δ²/h², so nine prefix sums over the |δ|-sorted
 // neighbours evaluate the whole ascending bandwidth grid in one sweep
 // per observation.
 
 // looLocalLinear computes the leave-one-out local-linear estimate at
 // x[i], returning (estimate, ok).
 //
-//kernvet:ignore compsum -- naive reference oracle: the conformance harness pins these plain WLS moment sums; the stable fast path is localLinearSweepCompensated
+//kernvet:ignore compsum -- naive reference oracle: the conformance harness pins these plain WLS moment sums; the stable fast path is localLinearSweep
 func looLocalLinear(x, y []float64, i int, h float64, k kernel.Kind) (float64, bool) {
 	var s0, s1, s2, t0, t1 float64
 	xi := x[i]
@@ -113,145 +111,45 @@ func NaiveGridSearchLocalLinearContext(ctx context.Context, x, y []float64, g Gr
 	return Best(g, scores), nil
 }
 
-// llWorkspace carries the signed-distance payloads for the local-linear
-// sweep.
-type llWorkspace struct {
-	absd  []float64 // |δ|, sort key
-	delta []float64 // signed δ = X_l − X_i
-	yv    []float64 // Y_l
-}
-
-func newLLWorkspace(n int) *llWorkspace {
-	return &llWorkspace{
-		absd:  make([]float64, 0, n),
-		delta: make([]float64, 0, n),
-		yv:    make([]float64, 0, n),
-	}
-}
-
-func (ws *llWorkspace) fill(x, y []float64, i int) {
-	ws.absd = ws.absd[:0]
-	ws.delta = ws.delta[:0]
-	ws.yv = ws.yv[:0]
-	xi := x[i]
-	for l, xl := range x {
-		if l == i {
-			continue
-		}
-		d := xl - xi
-		a := d
-		if a < 0 {
-			a = -a
-		}
-		ws.absd = append(ws.absd, a)
-		ws.delta = append(ws.delta, d)
-		ws.yv = append(ws.yv, y[l])
-	}
-	// Co-sort three arrays: argsort the keys once, permute in place via
-	// scratch copies (n is small enough per observation for this to be
-	// the clear approach).
-	idx := sortx.ArgSort64(ws.absd)
-	permute(ws.absd, idx)
-	permute(ws.delta, idx)
-	permute(ws.yv, idx)
-}
-
-// permute reorders xs by idx using a scratch copy.
-func permute(xs []float64, idx []int) {
-	tmp := make([]float64, len(xs))
-	for p, q := range idx {
-		tmp[p] = xs[q]
-	}
-	copy(xs, tmp)
-}
-
 // localLinearSweep accumulates squared LOO residuals for every grid
-// bandwidth using the Epanechnikov prefix decomposition. With w =
+// bandwidth using the Epanechnikov prefix decomposition, over one
+// observation's neighbours (signed δ and Y, nearest first). With w =
 // 0.75(1 − δ²/h²) on |δ| ≤ h, the WLS moments factor as
 //
 //	s0 = 0.75(c    − S_d2/h²)      s1 = 0.75(S_δ   − S_δ3/h²)
 //	s2 = 0.75(S_d2 − S_d4/h²)      t0 = 0.75(S_y   − S_yd2/h²)
 //	t1 = 0.75(S_yδ − S_yδ3/h²)
 //
-// so nine running sums suffice across the ascending grid.
-//
-//kernvet:ignore compsum -- plain-arithmetic ablation pinned by the conformance harness; the stable path is localLinearSweepCompensated
-func localLinearSweep(absd, delta, yv []float64, yi float64, grid, scores []float64) {
-	var cnt, sD2, sD4, sDelta, sDelta3, sY, sYD2, sYDelta, sYDelta3 float64
-	ptr := 0
-	m := len(absd)
-	for j, h := range grid {
-		for ptr < m && absd[ptr] <= h {
-			d := delta[ptr]
-			d2 := d * d
-			yl := yv[ptr]
-			cnt++
-			sD2 += d2
-			sD4 += d2 * d2
-			sDelta += d
-			sDelta3 += d2 * d
-			sY += yl
-			sYD2 += yl * d2
-			sYDelta += yl * d
-			sYDelta3 += yl * d2 * d
-			ptr++
-		}
-		h2 := h * h
-		s0 := 0.75 * (cnt - sD2/h2)
-		if s0 <= 0 {
-			continue
-		}
-		s1 := 0.75 * (sDelta - sDelta3/h2)
-		s2 := 0.75 * (sD2 - sD4/h2)
-		t0 := 0.75 * (sY - sYD2/h2)
-		t1 := 0.75 * (sYDelta - sYDelta3/h2)
-		det := s0*s2 - s1*s1
-		var g float64
-		if !(det > llDetTol*s0*s2) {
-			g = t0 / s0
-		} else {
-			g = (s2*t0 - s1*t1) / det
-		}
-		r := yi - g
-		scores[j] += r * r
-	}
-}
-
-// localLinearSweepCompensated is localLinearSweep with Neumaier
-// accumulation for all nine prefix sums. The WLS moments mix signs (δ and
-// δ³ sums cancel around symmetric neighbourhoods, and offset Y inflates
-// the t-moments), so the local-linear sweep is even more exposed to
-// fast-sum-updating cancellation than the local-constant one.
-func localLinearSweepCompensated(absd, delta, yv []float64, yi float64, grid, scores []float64) {
+// so nine running sums suffice across the ascending grid. comp selects
+// Neumaier accumulation for them (windowAcc). The WLS moments mix signs
+// (δ and δ³ sums cancel around symmetric neighbourhoods, and offset Y
+// inflates the t-moments), so the local-linear sweep is even more
+// exposed to fast-sum-updating cancellation than the local-constant one.
+func localLinearSweep(delta, yv []float64, yi float64, grid []float64, comp bool, scores []float64) {
 	var cnt float64
-	var sD2, sD4, sDelta, sDelta3, sY, sYD2, sYDelta, sYDelta3 mathx.NeumaierAccumulator
+	var sD2, sD4, sDelta, sDelta3, sY, sYD2, sYDelta, sYDelta3 windowAcc
 	ptr := 0
-	m := len(absd)
 	for j, h := range grid {
-		for ptr < m && absd[ptr] <= h {
+		for ptr < len(delta) && math.Abs(delta[ptr]) <= h {
 			d := delta[ptr]
 			d2 := d * d
 			yl := yv[ptr]
 			cnt++
-			sD2.Add(d2)
-			sD4.Add(d2 * d2)
-			sDelta.Add(d)
-			sDelta3.Add(d2 * d)
-			sY.Add(yl)
-			sYD2.Add(yl * d2)
-			sYDelta.Add(yl * d)
-			sYDelta3.Add(yl * d2 * d)
+			sD2, sD4 = sD2.add(d2, comp), sD4.add(d2*d2, comp)
+			sDelta, sDelta3 = sDelta.add(d, comp), sDelta3.add(d2*d, comp)
+			sY, sYD2 = sY.add(yl, comp), sYD2.add(yl*d2, comp)
+			sYDelta, sYDelta3 = sYDelta.add(yl*d, comp), sYDelta3.add(yl*d2*d, comp)
 			ptr++
 		}
 		h2 := h * h
-		s0 := 0.75 * (cnt - sD2.Sum()/h2)
+		s0 := 0.75 * (cnt - sD2.sum()/h2)
 		if s0 <= 0 {
 			continue
 		}
-		s1 := 0.75 * (sDelta.Sum() - sDelta3.Sum()/h2)
-		s2 := 0.75 * (sD2.Sum() - sD4.Sum()/h2)
-		t0 := 0.75 * (sY.Sum() - sYD2.Sum()/h2)
-		t1 := 0.75 * (sYDelta.Sum() - sYDelta3.Sum()/h2)
+		s1 := 0.75 * (sDelta.sum() - sDelta3.sum()/h2)
+		s2 := 0.75 * (sD2.sum() - sD4.sum()/h2)
+		t0 := 0.75 * (sY.sum() - sYD2.sum()/h2)
+		t1 := 0.75 * (sYDelta.sum() - sYDelta3.sum()/h2)
 		det := s0*s2 - s1*s1
 		var g float64
 		if !(det > llDetTol*s0*s2) {
@@ -268,9 +166,10 @@ func localLinearSweepCompensated(absd, delta, yv []float64, yi float64, grid, sc
 // incremental grid search for the local-linear estimator with the
 // Epanechnikov kernel — the "ll" analogue of
 // SortedGridSearchKernelStabilityContext, showing that the paper's
-// technique is not specific to the local-constant estimator. st selects
+// technique is not specific to the local-constant estimator. It serves
+// both ll-sorted and twopointer's local-linear objective. st selects
 // the summation mode of the nine-sum sweep. ctx is polled once per
-// observation (one O(n log n) sort plus an O(n + k) sweep);
+// observation (one O(n) neighbour merge plus an O(n + k) sweep);
 // cancellation returns ctx.Err() and a zero Result.
 func SortedGridSearchLocalLinearStabilityContext(ctx context.Context, x, y []float64, g Grid, st Stability) (Result, error) {
 	if err := validateSample(x, y); err != nil {
@@ -279,22 +178,18 @@ func SortedGridSearchLocalLinearStabilityContext(ctx context.Context, x, y []flo
 	if err := g.Validate(); err != nil {
 		return Result{}, err
 	}
-	sweep := localLinearSweepCompensated
-	if st == Uncompensated {
-		sweep = localLinearSweep
-	}
-	n := len(x)
+	ws := AcquireWorkspace(len(x), g.Len())
+	defer ws.Release()
 	scores := make([]float64, g.Len())
-	ws := newLLWorkspace(n)
-	for i := 0; i < n; i++ {
-		if err := ctx.Err(); err != nil {
-			return Result{}, err
-		}
-		ws.fill(x, y, i)
-		sweep(ws.absd, ws.delta, ws.yv, y[i], g.H, scores)
+	comp := st == Compensated
+	err := ws.neighbours(x, y).rows(ctx, 0, 1, false, ws, func(yi float64, delta, yv []float64) {
+		localLinearSweep(delta, yv, yi, g.H, comp, scores)
+	})
+	if err != nil {
+		return Result{}, err
 	}
 	for j := range scores {
-		scores[j] /= float64(n)
+		scores[j] /= float64(len(x))
 	}
 	return Best(g, scores), nil
 }

@@ -44,10 +44,11 @@ import (
 // single-node answers would stop being bit-identical.
 //
 // The window edges use the same float comparisons as the merge
-// enumeration below (X_r − X_i ≤ h on the right, X_i − X_l ≤ h on the
-// left), so the in-range set and boundary ties are unchanged. Each
-// candidate's score depends only on (data, h): that is the bit-identity
-// contract grid sharding relies on, and it holds by construction.
+// enumeration of sorted.go (twoPointerFill: X_r − X_i ≤ h on the right,
+// X_i − X_l ≤ h on the left), so the in-range set and boundary ties are
+// unchanged. Each candidate's score depends only on (data, h): that is
+// the bit-identity contract grid sharding relies on, and it holds by
+// construction.
 //
 // The same independence lets one selection use every core, the host
 // analogue of the paper's one-device-thread-per-observation scoring
@@ -59,75 +60,13 @@ import (
 // TwoPointerGridSearchInto for any worker count and interleaving.
 //
 // The Triangular kernel (|d| has a sign, so it needs half-windows) and
-// the local-linear estimator still merge the left and right neighbour
-// runs of each observation in O(n) (twoPointerFill) and feed the
-// per-observation sweeps of sorted.go: O(n log n + n·(n + k)). The merge
-// emits neighbours at equal distance left-run-first; the prefix
-// multiset at every bandwidth boundary matches the per-observation
-// QuickSort's (FuzzTwoPointerOrder pins this).
-
-// twoPointerFill writes the neighbours of sorted position i into absd
-// and yv, nearest-first, by merging the left and right runs of the
-// globally sorted sample. len(absd) and len(yv) must be len(xs)-1.
-func twoPointerFill(xs, ys []float64, i int, absd, yv []float64) {
-	xi := xs[i]
-	l, r := i-1, i+1
-	n := len(xs)
-	w := 0
-	for l >= 0 && r < n {
-		dl := xi - xs[l]
-		dr := xs[r] - xi
-		if dl <= dr {
-			absd[w], yv[w] = dl, ys[l]
-			l--
-		} else {
-			absd[w], yv[w] = dr, ys[r]
-			r++
-		}
-		w++
-	}
-	for ; l >= 0; l-- {
-		absd[w], yv[w] = xi-xs[l], ys[l]
-		w++
-	}
-	for ; r < n; r++ {
-		absd[w], yv[w] = xs[r]-xi, ys[r]
-		w++
-	}
-}
-
-// twoPointerFillLL is twoPointerFill with the signed distance
-// δ = X_l − X_i emitted alongside, for the local-linear sweep. IEEE
-// negation is exact, so −(X_i − X_l) for the left run is bit-identical
-// to the X_l − X_i the argsort path computes.
-func twoPointerFillLL(xs, ys []float64, i int, absd, delta, yv []float64) {
-	xi := xs[i]
-	l, r := i-1, i+1
-	n := len(xs)
-	w := 0
-	for l >= 0 && r < n {
-		dl := xi - xs[l]
-		dr := xs[r] - xi
-		if dl <= dr {
-			absd[w], delta[w], yv[w] = dl, -dl, ys[l]
-			l--
-		} else {
-			absd[w], delta[w], yv[w] = dr, dr, ys[r]
-			r++
-		}
-		w++
-	}
-	for ; l >= 0; l-- {
-		d := xi - xs[l]
-		absd[w], delta[w], yv[w] = d, -d, ys[l]
-		w++
-	}
-	for ; r < n; r++ {
-		d := xs[r] - xi
-		absd[w], delta[w], yv[w] = d, d, ys[r]
-		w++
-	}
-}
+// the local-linear estimator have no window sweep yet: `twopointer` runs
+// them on the sorted search of sorted.go, which merges the left and
+// right neighbour runs of each observation in O(n) (twoPointerFill):
+// O(n log n + n·(n + k)). The merge emits neighbours at equal distance
+// left-run-first; the prefix multiset at every bandwidth boundary
+// matches a per-observation QuickSort's (FuzzTwoPointerOrder pins
+// this).
 
 // TwoPointerGridSearchKernelStabilityContext runs the two-pointer sweep
 // in double precision for the compact kernels that admit the prefix-sum
@@ -146,10 +85,10 @@ func TwoPointerGridSearchKernelStabilityContext(ctx context.Context, x, y []floa
 // a cap on the goroutines that share the window sweep's grid
 // (windowScores). workers <= 0 selects runtime.GOMAXPROCS(0) at call
 // time, and the result is bit-identical for any cap. The Triangular
-// kernel runs the sequential merge and ignores workers.
+// kernel runs the sequential sorted search and ignores workers.
 //
 // Each goroutine polls ctx before every candidate it claims, O(n) work
-// apart; the Triangular merge polls once per observation, also O(n)
+// apart; the Triangular search polls once per observation, also O(n)
 // work. Cancellation returns ctx.Err() and a zero Result — never a
 // partial selection.
 //
@@ -181,42 +120,26 @@ func TwoPointerGridSearchInto(ctx context.Context, x, y []float64, g Grid, k ker
 }
 
 // twoPointerInto runs the two-pointer search in ws, scoring the window
-// kernels' candidates on up to workers goroutines (windowScores).
+// kernels' candidates on up to workers goroutines (windowScores). The
+// Triangular kernel has no window sweep and runs the sorted search;
+// sortedInto also rejects the kernels without compact support.
 func twoPointerInto(ctx context.Context, x, y []float64, g Grid, k kernel.Kind, st Stability, ws *Workspace, workers int) (Result, error) {
+	if k != kernel.Epanechnikov && k != kernel.Uniform {
+		return sortedInto(ctx, x, y, g, k, st, ws)
+	}
 	if err := validateSample(x, y); err != nil {
 		return Result{}, err
 	}
 	if err := g.Validate(); err != nil {
 		return Result{}, err
 	}
-	// sweepFunc also rejects the kernels without compact support.
-	sweep, err := sweepFunc(k, st)
-	if err != nil {
-		return Result{}, err
-	}
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
-	n := len(x)
 	xs, ys := ws.sortSample(x, y)
 	scores := ws.zeroScores(g.Len())
-	if k != kernel.Triangular {
-		if err := windowScores(ctx, xs, ys, g.H, k == kernel.Uniform, st == Compensated, ws.windowMoments(n), scores, workers); err != nil {
-			return Result{}, err
-		}
-		return Best(g, scores), nil
-	}
-	absd := ws.absd[:n-1]
-	yv := ws.yv[:n-1]
-	for i := 0; i < n; i++ {
-		if err := ctx.Err(); err != nil {
-			return Result{}, err
-		}
-		twoPointerFill(xs, ys, i, absd, yv)
-		sweep(absd, yv, ys[i], g.H, scores)
-	}
-	for j := range scores {
-		scores[j] /= float64(n)
+	if err := windowScores(ctx, xs, ys, g.H, k == kernel.Uniform, st == Compensated, ws.windowMoments(len(x)), scores, workers); err != nil {
+		return Result{}, err
 	}
 	return Best(g, scores), nil
 }
@@ -428,47 +351,4 @@ func windowScore(xs, ys []float64, h float64, uniform, comp bool, m windowMoment
 		}
 	}
 	return score.sum()
-}
-
-// TwoPointerGridSearchLocalLinearStabilityContext runs the two-pointer
-// sweep for the local-linear estimator with the Epanechnikov kernel —
-// the "ll" analogue, feeding the nine-prefix-sum sweep of locallinear.go
-// from the merged enumeration instead of a per-observation argsort. st
-// selects the nine-sum sweep's summation mode. ctx is polled once per
-// observation (an O(n) merge plus an O(n + k) sweep); cancellation
-// returns ctx.Err() and a zero Result.
-func TwoPointerGridSearchLocalLinearStabilityContext(ctx context.Context, x, y []float64, g Grid, st Stability) (Result, error) {
-	if err := validateSample(x, y); err != nil {
-		return Result{}, err
-	}
-	if err := g.Validate(); err != nil {
-		return Result{}, err
-	}
-	sweep := localLinearSweepCompensated
-	if st == Uncompensated {
-		sweep = localLinearSweep
-	}
-	if err := ctx.Err(); err != nil {
-		return Result{}, err
-	}
-	n := len(x)
-	ws := AcquireWorkspace(n, g.Len())
-	defer ws.Release()
-	xs, ys := ws.sortSample(x, y)
-	absd := ws.absd[:n-1]
-	delta := ws.delta[:n-1]
-	yv := ws.yv[:n-1]
-	scores := ws.zeroScores(g.Len())
-	for i := 0; i < n; i++ {
-		if err := ctx.Err(); err != nil {
-			return Result{}, err
-		}
-		twoPointerFillLL(xs, ys, i, absd, delta, yv)
-		sweep(absd, delta, yv, ys[i], g.H, scores)
-	}
-	out := append([]float64(nil), scores...)
-	for j := range out {
-		out[j] /= float64(n)
-	}
-	return Best(g, out), nil
 }

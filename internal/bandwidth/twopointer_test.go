@@ -67,6 +67,10 @@ func TestTwoPointerMatchesSorted(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				// The Triangular kernel runs the sorted search itself.
+				if k == kernel.Triangular && !sameBits(got, want) {
+					t.Errorf("n=%d %v/%v: twopointer differs bitwise from sorted", n, k, st)
+				}
 				if got.Index != want.Index {
 					t.Errorf("n=%d %v/%v: twopointer index %d, sorted %d", n, k, st, got.Index, want.Index)
 				}
@@ -404,34 +408,6 @@ func TestWindowSweepAccuracy(t *testing.T) {
 	}
 }
 
-func TestTwoPointerLocalLinearMatchesSorted(t *testing.T) {
-	x, y := tpTestSample(197, 11)
-	g, err := DefaultGrid(x, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := SortedGridSearchLocalLinearStabilityContext(context.Background(), x, y, g, Compensated)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := TwoPointerGridSearchLocalLinearStabilityContext(context.Background(), x, y, g, Compensated)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Index != want.Index {
-		t.Fatalf("ll twopointer index %d, ll sorted %d", got.Index, want.Index)
-	}
-	for j := range want.Scores {
-		a, b := want.Scores[j], got.Scores[j]
-		if mathx.IsFinite(a) != mathx.IsFinite(b) {
-			t.Fatalf("ll score %d finiteness differs: %g vs %g", j, a, b)
-		}
-		if mathx.IsFinite(a) && mathx.RelDiff(a, b) > twoPointerTol {
-			t.Fatalf("ll score %d diverges: %g vs %g", j, a, b)
-		}
-	}
-}
-
 // TestTwoPointerIntoZeroAlloc pins the workspace contract: with a
 // caller-held workspace the search itself must not touch the heap.
 func TestTwoPointerIntoZeroAlloc(t *testing.T) {
@@ -443,16 +419,20 @@ func TestTwoPointerIntoZeroAlloc(t *testing.T) {
 	ws := AcquireWorkspace(len(x), g.Len())
 	defer ws.Release()
 	ctx := context.Background()
-	if _, err := TwoPointerGridSearchInto(ctx, x, y, g, kernel.Epanechnikov, Compensated, ws); err != nil {
-		t.Fatal(err)
-	}
-	avg := testing.AllocsPerRun(50, func() {
-		if _, err := TwoPointerGridSearchInto(ctx, x, y, g, kernel.Epanechnikov, Compensated, ws); err != nil {
+	// Triangular runs the sorted search, whose position and kernel-sum
+	// buffers the first call allocates in ws.
+	for _, k := range []kernel.Kind{kernel.Epanechnikov, kernel.Triangular} {
+		if _, err := TwoPointerGridSearchInto(ctx, x, y, g, k, Compensated, ws); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if avg != 0 {
-		t.Errorf("TwoPointerGridSearchInto allocates %.2f objects/op with a warm workspace, want 0", avg)
+		avg := testing.AllocsPerRun(50, func() {
+			if _, err := TwoPointerGridSearchInto(ctx, x, y, g, k, Compensated, ws); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if avg != 0 {
+			t.Errorf("%v: TwoPointerGridSearchInto allocates %.2f objects/op with a warm workspace, want 0", k, avg)
+		}
 	}
 }
 
@@ -471,6 +451,20 @@ func TestWorkspacePoolStats(t *testing.T) {
 	if !raceEnabled && h1 == h0 {
 		t.Errorf("second acquire in the same class missed the pool (hits %d→%d)", h0, h1)
 	}
+}
+
+// quickSortNeighbours is the per-observation enumeration of the paper's
+// Program 3, kept as the reference for the merge: the distances
+// |X_i − X_l|, l ≠ i, QuickSorted with the Y payloads.
+func quickSortNeighbours(x, y []float64, i int) (absd, yv []float64) {
+	for l := range x {
+		if l != i {
+			absd = append(absd, math.Abs(x[i]-x[l]))
+			yv = append(yv, y[l])
+		}
+	}
+	sortx.QuickSort64(absd, yv)
+	return absd, yv
 }
 
 // FuzzTwoPointerOrder pins the enumeration equivalence the whole family
@@ -496,20 +490,23 @@ func FuzzTwoPointerOrder(f *testing.F) {
 			t.Skip("need two observations")
 		}
 		n := len(x)
-		xs := append([]float64(nil), x...)
-		ys := append([]float64(nil), y...)
-		sortx.QuickSort64(xs, ys)
+		ws := AcquireWorkspace(n, 0)
+		defer ws.Release()
+		nb := ws.neighbours(x, y)
 
-		absd := make([]float64, n-1)
+		delta := make([]float64, n-1)
 		yv := make([]float64, n-1)
-		ref := newSortedWorkspace(n)
 		for i := 0; i < n; i++ {
-			twoPointerFill(xs, ys, i, absd, yv)
-			ref.fill(xs, ys, i)
+			p := nb.pos[i]
+			if nb.xs[p] != x[i] || nb.ys[p] != y[i] {
+				t.Fatalf("obs %d: sorted position %d holds (%v, %v), want (%v, %v)", i, p, nb.xs[p], nb.ys[p], x[i], y[i])
+			}
+			twoPointerFill(nb.xs, nb.ys, p, delta, yv)
+			refD, refY := quickSortNeighbours(x, y, i)
 			for w := 0; w < n-1; w++ {
-				if absd[w] != ref.absd[w] {
-					t.Fatalf("obs %d: distance %d differs bitwise: twopointer %v, argsort %v",
-						i, w, absd[w], ref.absd[w])
+				if math.Abs(delta[w]) != refD[w] {
+					t.Fatalf("obs %d: distance %d differs bitwise: twopointer %v, quicksort %v",
+						i, w, math.Abs(delta[w]), refD[w])
 				}
 			}
 			// Within each run of equal distances the Y payloads must form
@@ -517,11 +514,11 @@ func FuzzTwoPointerOrder(f *testing.F) {
 			// enumerations break ties arbitrarily).
 			for lo := 0; lo < n-1; {
 				hi := lo + 1
-				for hi < n-1 && absd[hi] == absd[lo] {
+				for hi < n-1 && refD[hi] == refD[lo] {
 					hi++
 				}
 				a := append([]float64(nil), yv[lo:hi]...)
-				b := append([]float64(nil), ref.yv[lo:hi]...)
+				b := append([]float64(nil), refY[lo:hi]...)
 				sort.Float64s(a)
 				sort.Float64s(b)
 				for j := range a {
@@ -536,26 +533,47 @@ func FuzzTwoPointerOrder(f *testing.F) {
 	})
 }
 
-// TestWindowSweepNonFiniteX pins the window sweep's index bounds: a NaN
-// or ±Inf in X (which the public entry points reject before this layer)
+// TestWindowSweepNonFiniteX pins the index bounds of the window sweep
+// and of the neighbour merge that feeds every prefix sweep: a NaN or
+// ±Inf in X (which the public entry points reject before this layer)
 // must give a result, never an index-out-of-range panic.
 func TestWindowSweepNonFiniteX(t *testing.T) {
 	g, err := NewGrid(0.1, 2, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ctx := context.Background()
+	searches := map[string]func(x, y []float64) (Result, error){
+		"parallel": func(x, y []float64) (Result, error) {
+			return TwoPointerGridSearchParallelStabilityContext(ctx, x, y, g, kernel.Epanechnikov, 3, Compensated)
+		},
+		"sorted-parallel": func(x, y []float64) (Result, error) {
+			return SortedGridSearchParallelStabilityContext(ctx, x, y, g, 3, Compensated)
+		},
+		"ll-sorted": func(x, y []float64) (Result, error) {
+			return SortedGridSearchLocalLinearStabilityContext(ctx, x, y, g, Compensated)
+		},
+		"aicc": func(x, y []float64) (Result, error) {
+			return SortedGridSearchAICcContext(ctx, x, y, g)
+		},
+	}
+	for _, k := range []kernel.Kind{kernel.Epanechnikov, kernel.Uniform, kernel.Triangular} {
+		searches["twopointer/"+k.String()] = func(x, y []float64) (Result, error) {
+			return TwoPointerGridSearchKernelStabilityContext(ctx, x, y, g, k, Compensated)
+		}
+		searches["sorted/"+k.String()] = func(x, y []float64) (Result, error) {
+			return SortedGridSearchKernelStabilityContext(ctx, x, y, g, k, Compensated)
+		}
+	}
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		for _, pos := range []int{0, 3, 7} {
-			x := []float64{0.1, 0.4, 0.5, 0.9, 1.3, 1.4, 2.2, 2.5}
-			y := []float64{1, 0, 2, 1, 3, 2, 0, 1}
-			x[pos] = bad
-			for _, k := range []kernel.Kind{kernel.Epanechnikov, kernel.Uniform} {
-				if _, err := TwoPointerGridSearchKernelStabilityContext(context.Background(), x, y, g, k, Compensated); err != nil {
-					t.Errorf("x[%d]=%v %v: %v", pos, bad, k, err)
+			for name, search := range searches {
+				x := []float64{0.1, 0.4, 0.5, 0.9, 1.3, 1.4, 2.2, 2.5}
+				y := []float64{1, 0, 2, 1, 3, 2, 0, 1}
+				x[pos] = bad
+				if _, err := search(x, y); err != nil {
+					t.Errorf("x[%d]=%v %s: %v", pos, bad, name, err)
 				}
-			}
-			if _, err := TwoPointerGridSearchParallelStabilityContext(context.Background(), x, y, g, kernel.Epanechnikov, 3, Compensated); err != nil {
-				t.Errorf("x[%d]=%v parallel: %v", pos, bad, err)
 			}
 		}
 	}

@@ -66,14 +66,18 @@ func capClass(n int) int {
 type Workspace struct {
 	// xs, ys are the globally sorted copies of the sample.
 	xs, ys []float64
-	// absd, yv, delta are the per-observation neighbour buffers
-	// (distance, Y payload, and signed δ for the local-linear sweep).
-	// The window sweep uses them, with su and su2, as its five moment
-	// buffers (windowMoments).
+	// delta and yv are the per-observation neighbour buffers (signed
+	// distance and Y payload). The window sweep uses them, with absd,
+	// su and su2, as its five moment buffers (windowMoments).
 	absd, yv, delta, su, su2 []float64
 	// scores is the CV accumulator; gridH backs the pooled grid of the
 	// zero-allocation kernreg path.
 	scores, gridH []float64
+	// pos (sorted positions) and num, den (one observation's kernel
+	// sums) serve only the per-observation prefix sweeps, which
+	// allocate them on first use.
+	pos      []int
+	num, den []float64
 }
 
 // AcquireWorkspace returns a workspace whose sample buffers hold at
@@ -157,4 +161,38 @@ func (ws *Workspace) sortSample(x, y []float64) (xs, ys []float64) {
 	ws.xs, ws.ys = xs, ys
 	sortx.QuickSort64(xs, ys)
 	return xs, ys
+}
+
+// neighbours is sortSample for the per-observation prefix sweeps, which
+// visit the observations in their original order: it also records each
+// observation's sorted position. X is sorted with the observation
+// indices as payload (held in su, exact as float64), so the order is
+// the one sortSample gives.
+func (ws *Workspace) neighbours(x, y []float64) neighbours {
+	n := len(x)
+	xs := append(ws.xs[:0], x...)
+	idx := ws.su[:n]
+	for i := range idx {
+		idx[i] = float64(i)
+	}
+	sortx.QuickSort64(xs, idx)
+	if cap(ws.pos) < n {
+		ws.pos = make([]int, cap(ws.xs))
+	}
+	ys, pos := ws.ys[:n], ws.pos[:n]
+	for p, f := range idx {
+		i := int(f)
+		ys[p], pos[i] = y[i], p
+	}
+	ws.xs, ws.ys = xs, ys
+	return neighbours{xs: xs, ys: ys, pos: pos}
+}
+
+// sumBufs returns the kernel-sum buffers of the prefix sweeps, sized
+// to k.
+func (ws *Workspace) sumBufs(k int) (num, den []float64) {
+	if cap(ws.num) < k {
+		ws.num, ws.den = make([]float64, k), make([]float64, k)
+	}
+	return ws.num[:k], ws.den[:k]
 }

@@ -173,8 +173,10 @@ func complexityFactor(p Program, n, k int) float64 {
 	switch p {
 	case ProgNumerical, ProgNumericalMC:
 		return nf * nf // per optimiser evaluation; eval count ≈ constant in n
-	case ProgSeqC, ProgSortedGo, ProgParallelGo:
-		return nf * (nf*lg + kf) // sort-dominated sweep
+	case ProgSeqC:
+		return nf * (nf*lg + kf) // per-observation sort, then the sweep
+	case ProgSortedGo, ProgParallelGo:
+		return nf * (nf + kf) // one global sort, then a merge and a sweep per observation
 	default:
 		return nf * nf
 	}

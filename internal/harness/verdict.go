@@ -120,8 +120,10 @@ func checkSortedBeatsNaive(cfg Config) (Check, error) {
 	if err != nil {
 		return Check{}, err
 	}
+	// The paper's Program 3, with its per-observation sort: the float64
+	// host search takes its neighbours from one global sort instead.
 	sortedCell, _, err := measureFunc(func(d data.Dataset, g bandwidth.Grid) error {
-		_, err := bandwidth.SortedGridSearchKernelStabilityContext(context.Background(), d.X, d.Y, g, kernel.Epanechnikov, bandwidth.Compensated)
+		_, err := core.SortedSequential(d.X, d.Y, g)
 		return err
 	}, n, cfg)
 	if err != nil {
@@ -271,9 +273,11 @@ func checkPanelAKEffect(cfg Config) (Check, error) {
 	if err != nil {
 		return Check{}, err
 	}
+	// At least five interleaved runs per side, so one slow run on a
+	// loaded host cannot decide the ratio.
 	tSmall := -1.0
 	tBig := -1.0
-	for r := 0; r < cfg.Runs; r++ {
+	for r := 0; r < max(cfg.Runs, 5); r++ {
 		a, err := timeOnce(func() error { _, err := core.SortedSequential(d.X, d.Y, gSmall); return err })
 		if err != nil {
 			return Check{}, err

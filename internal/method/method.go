@@ -106,7 +106,7 @@ var table = [...]Row{
 		CV: Search{epanechnikov, gpuTiled}},
 	{Name: "twopointer", Shardable: true,
 		CV:          Search{prefix, twoPointer},
-		LocalLinear: Search{epanechnikov, twoPointerLocalLinear}},
+		LocalLinear: Search{epanechnikov, sortedLocalLinear}},
 	{Name: "twopointer-parallel", Shardable: true,
 		CV: Search{epanechnikov, twoPointer}},
 	{Name: "twopointer-f32",
@@ -202,13 +202,8 @@ func sortedLocalLinear(ctx context.Context, x, y []float64, g bandwidth.Grid, s 
 	return bandwidth.SortedGridSearchLocalLinearStabilityContext(ctx, x, y, g, s.Stability)
 }
 
-// sortedAICc and naiveAICc have no cancellable engine yet, so ctx is
-// honoured at entry only.
 func sortedAICc(ctx context.Context, x, y []float64, g bandwidth.Grid, _ Spec) (bandwidth.Result, error) {
-	if err := ctx.Err(); err != nil {
-		return bandwidth.Result{}, err
-	}
-	return bandwidth.SortedGridSearchAICc(x, y, g)
+	return bandwidth.SortedGridSearchAICcContext(ctx, x, y, g)
 }
 
 func sortedParallel(ctx context.Context, x, y []float64, g bandwidth.Grid, s Spec) (bandwidth.Result, error) {
@@ -230,6 +225,7 @@ func naiveLocalLinear(ctx context.Context, x, y []float64, g bandwidth.Grid, s S
 	return bandwidth.NaiveGridSearchLocalLinearContext(ctx, x, y, g, s.Kernel)
 }
 
+// naiveAICc has no cancellable engine, so ctx is honoured at entry only.
 func naiveAICc(ctx context.Context, x, y []float64, g bandwidth.Grid, s Spec) (bandwidth.Result, error) {
 	if err := ctx.Err(); err != nil {
 		return bandwidth.Result{}, err
@@ -255,10 +251,6 @@ func gpuTiled(ctx context.Context, x, y []float64, g bandwidth.Grid, s Spec) (ba
 // so the two names are bit-identical wherever both accept the kernel.
 func twoPointer(ctx context.Context, x, y []float64, g bandwidth.Grid, s Spec) (bandwidth.Result, error) {
 	return bandwidth.TwoPointerGridSearchParallelStabilityContext(ctx, x, y, g, s.Kernel, s.Workers, s.Stability)
-}
-
-func twoPointerLocalLinear(ctx context.Context, x, y []float64, g bandwidth.Grid, s Spec) (bandwidth.Result, error) {
-	return bandwidth.TwoPointerGridSearchLocalLinearStabilityContext(ctx, x, y, g, s.Stability)
 }
 
 func twoPointerF32(ctx context.Context, x, y []float64, g bandwidth.Grid, s Spec) (bandwidth.Result, error) {

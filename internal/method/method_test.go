@@ -1,9 +1,13 @@
 package method
 
 import (
+	"context"
+	"math"
 	"strings"
 	"testing"
 
+	"repro/internal/bandwidth"
+	"repro/internal/data"
 	"repro/internal/kernel"
 )
 
@@ -74,5 +78,43 @@ func TestCheck(t *testing.T) {
 	}
 	if err := tp.Check(AICc, kernel.Epanechnikov); err == nil || !strings.Contains(err.Error(), "does not support AICc") {
 		t.Errorf("twopointer AICc error %v", err)
+	}
+}
+
+// TestTwoPointerLocalLinearMatchesSorted pins the rows that have no
+// window sweep: twopointer's local-linear objective and its Triangular
+// kernel run the sorted engines, so they equal sorted bit for bit.
+func TestTwoPointerLocalLinearMatchesSorted(t *testing.T) {
+	d := data.GeneratePaper(197, 11)
+	g, err := bandwidth.DefaultGrid(d.X, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	si, _ := Lookup("sorted")
+	ti, _ := Lookup("twopointer")
+	sorted, tp := Rows()[si], Rows()[ti]
+	for _, c := range []struct {
+		o Objective
+		k kernel.Kind
+	}{{LocalLinearCV, kernel.Epanechnikov}, {CV, kernel.Triangular}} {
+		for _, st := range []bandwidth.Stability{bandwidth.Compensated, bandwidth.Uncompensated} {
+			s := Spec{Kernel: c.k, Stability: st}
+			want, err := sorted.Search(c.o).Run(context.Background(), d.X, d.Y, g, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := tp.Search(c.o).Run(context.Background(), d.X, d.Y, g, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Index != want.Index || math.Float64bits(got.CV) != math.Float64bits(want.CV) {
+				t.Errorf("%s/%v/%v: twopointer selects %d (cv %v), sorted %d (cv %v)", c.o, c.k, st, got.Index, got.CV, want.Index, want.CV)
+			}
+			for j := range want.Scores {
+				if math.Float64bits(got.Scores[j]) != math.Float64bits(want.Scores[j]) {
+					t.Errorf("%s/%v/%v: score %d differs bitwise: %v vs %v", c.o, c.k, st, j, got.Scores[j], want.Scores[j])
+				}
+			}
+		}
 	}
 }

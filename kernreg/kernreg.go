@@ -6,7 +6,8 @@
 //
 // The default selector is the paper's sorted incremental grid search:
 // exact over the grid (no numerical-optimisation local minima) at
-// O(n² log n) for the whole grid rather than the naive O(k·n²). Method
+// O(n log n + n·(n + k)) for the whole grid rather than the naive
+// O(k·n²), its neighbour lists taken from one global sort. Method
 // options expose the naive search, the numerical optimiser the paper
 // criticises, a goroutine-parallel search, and the paper's CUDA program
 // executed on a simulated GPU.
@@ -35,9 +36,13 @@ type Method int
 
 const (
 	// MethodSorted is the paper's sorted incremental grid search
-	// (double precision). The default.
+	// (double precision). Each observation's neighbours come nearest
+	// first from one global sort, merged from the runs to its left and
+	// right, instead of the paper's per-observation sort:
+	// O(n log n + n·(n + k)) in all. The default.
 	MethodSorted Method = iota
-	// MethodSortedParallel fans the sorted search across goroutines.
+	// MethodSortedParallel fans the sorted search across goroutines,
+	// bit-identically for any goroutine count.
 	MethodSortedParallel
 	// MethodSortedF32 is the single-precision variant, bit-faithful to
 	// the paper's sequential C program.
@@ -55,19 +60,19 @@ const (
 	// matrices) on the simulated GPU: identical results, O(C·n) device
 	// memory.
 	MethodGPUTiled
-	// MethodTwoPointer replaces the per-observation sorts of
-	// MethodSorted with one global sort. For the Epanechnikov and
-	// Uniform kernels each candidate bandwidth is then scored by an
-	// O(n) sweep of two monotone window pointers over anchored window
-	// moments: O(n log n + k·n) total instead of O(n² log n), same
+	// MethodTwoPointer scores each candidate bandwidth, for the
+	// Epanechnikov and Uniform kernels, by an O(n) sweep of two
+	// monotone window pointers over anchored window moments of the
+	// globally sorted sample: O(n log n + k·n) total instead of
+	// MethodSorted's O(n log n + n·(n + k)), same
 	// objective, same grid. Each candidate's score depends only on the
 	// data and that bandwidth, so the candidates are shared across up
 	// to GOMAXPROCS goroutines (capped by Workers), each claiming the
 	// next one; the answer is bit-identical for any goroutine count. At
 	// tens of ns per (observation, candidate) it is slower than the old
 	// Θ(n²) neighbour merge once k ≳ n/2 on one core. The Triangular
-	// kernel still merges each observation's neighbours on one
-	// goroutine: O(n log n + n·(n+k)).
+	// kernel and the local-linear estimator have no window sweep and
+	// run MethodSorted's engine, bit-identically to it.
 	MethodTwoPointer
 	// MethodTwoPointerParallel is MethodTwoPointer restricted to the
 	// Epanechnikov kernel. It is kept as a name for existing callers and

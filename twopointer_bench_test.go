@@ -14,15 +14,15 @@ import (
 )
 
 // BenchmarkTwoPointerVsSorted is the head-to-head the two-pointer sweep
-// must win: the paper's sorted incremental search (per-observation
-// QuickSort, O(n² log n)) against the global-sort two-pointer window
-// sweep (O(n log n + k·n)) on identical data and grids. ReportAllocs
-// makes the allocation story part of the result — the sorted path
-// allocates its argsort scratch per call, the two-pointer path runs out
-// of pooled workspaces.
+// must win: the float64 sorted incremental search (a left/right-run
+// merge per observation, O(n log n + n·(n + k))) against the two-pointer
+// window sweep (O(n log n + k·n)) on identical data and grids. Both run
+// out of pooled workspaces; ReportAllocs shows what each copies out.
 //
 // cmd/bwbench -twopointer runs the same cells via testing.Benchmark and
-// writes BENCH_4.json; EXPERIMENTS.md quotes those numbers.
+// writes BENCH_4.json; EXPERIMENTS.md quotes those numbers. BENCH_4
+// predates the merge in the sorted search: its sorted cells timed a
+// QuickSort per observation, O(n² log n).
 func BenchmarkTwoPointerVsSorted(b *testing.B) {
 	for _, n := range []int{500, 2000, 10000} {
 		for _, k := range []int{50, 500} {
