@@ -10,14 +10,6 @@
 //	bwbench -full              # measure up to the paper's n = 20,000
 //	                           # (otherwise large n is extrapolated)
 //	bwbench -runs 5            # the paper's 5-repetition protocol
-//	bwbench -twopointer        # two-pointer vs sorted head-to-head (JSON)
-//	bwbench -twopointer -o BENCH_4.json
-//	bwbench -bagged            # bagged vs exact up to n = 1,000,000 (JSON)
-//	bwbench -bagged -o BENCH_6.json
-//	bwbench -mv                # multivariate mesh sweep vs naive (JSON)
-//	bwbench -mv -o BENCH_8.json
-//	bwbench -coord             # cluster coordinator: cache + sharding (JSON)
-//	bwbench -coord -o BENCH_9.json
 //
 // Columns marked * are the GPU simulator's modelled device seconds;
 // columns marked ^ are extrapolated along the program's complexity curve
@@ -65,28 +57,8 @@ func run() error {
 		seed    = flag.Int64("seed", 42, "data seed")
 		paper   = flag.Bool("paper", true, "also print the paper's published numbers")
 		extra   = flag.Bool("gonative", false, "include the Go-native parallel selectors in Table I")
-		twoPtr  = flag.Bool("twopointer", false, "benchmark the two-pointer sweep against the sorted search and emit JSON")
-		bagged  = flag.Bool("bagged", false, "benchmark bagged selection up to n=1,000,000 against the exact sweep and emit JSON")
-		bagMaxN = flag.Int("bagged-maxn", 1_000_000, "largest n measured by -bagged (CI smoke runs cap this)")
-		mv      = flag.Bool("mv", false, "benchmark the multivariate mesh sweep against the naive per-cell search and emit JSON")
-		mvMaxN  = flag.Int("mv-maxn", 10_000, "largest n measured by -mv (CI smoke runs cap this)")
-		coordB  = flag.Bool("coord", false, "benchmark the cluster coordinator's cache and modelled replica scaling and emit JSON")
-		coMaxN  = flag.Int("coord-maxn", 10_000, "largest n measured by -coord (CI smoke runs cap this)")
-		outPath = flag.String("o", "", "output file for -twopointer/-bagged/-mv/-coord JSON (default stdout)")
 	)
 	flag.Parse()
-	if *twoPtr {
-		return runTwoPointer(*seed, *outPath)
-	}
-	if *bagged {
-		return runBagged(*seed, *outPath, *bagMaxN)
-	}
-	if *mv {
-		return runMV(*seed, *outPath, *mvMaxN)
-	}
-	if *coordB {
-		return runCoord(*seed, *outPath, *coMaxN)
-	}
 	if !*table1 && !*table2a && !*table2b && !*figure1 && !*verdict && !*future {
 		*all = true
 	}

@@ -29,6 +29,11 @@ import (
 	"repro/internal/coord"
 )
 
+// readHeaderTimeout bounds how long a client may take to send its
+// request headers, so one that trickles them cannot hold a connection
+// open forever.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	os.Exit(run())
 }
@@ -83,7 +88,7 @@ func run() int {
 		MaxGrid: *maxGrid,
 		Timeout: *timeout,
 	})
-	hs := &http.Server{Addr: *addr, Handler: srv}
+	hs := &http.Server{Addr: *addr, Handler: srv, ReadHeaderTimeout: readHeaderTimeout}
 
 	errc := make(chan error, 1)
 	go func() {

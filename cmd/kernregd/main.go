@@ -33,6 +33,11 @@ import (
 	"repro/internal/serve"
 )
 
+// readHeaderTimeout bounds how long a client may take to send its
+// request headers, so one that trickles them cannot hold a connection
+// open forever.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	os.Exit(run())
 }
@@ -82,7 +87,7 @@ func run() int {
 		FaultInjection: *faultInject,
 		WorkerLabel:    *label,
 	})
-	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	hs := &http.Server{Addr: *addr, Handler: srv.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 
 	errc := make(chan error, 1)
 	go func() {

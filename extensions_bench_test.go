@@ -57,7 +57,7 @@ func BenchmarkExtension_Multivariate(b *testing.B) {
 	}
 	b.Run("mesh-100-cells", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := mvreg.MeshSearch(s, grids, kernel.Epanechnikov); err != nil {
+			if _, err := mvreg.MeshSearchContext(context.Background(), s, grids, kernel.Epanechnikov); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -152,7 +152,7 @@ func BenchmarkExtension_AICc(b *testing.B) {
 	})
 	b.Run("naive", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := bandwidth.NaiveGridSearchAICc(d.X, d.Y, g, kernel.Epanechnikov); err != nil {
+			if _, err := bandwidth.NaiveGridSearchAICcContext(context.Background(), d.X, d.Y, g, kernel.Epanechnikov); err != nil {
 				b.Fatal(err)
 			}
 		}

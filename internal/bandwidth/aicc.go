@@ -64,8 +64,10 @@ func aiccFromParts(rss, trH float64, n int) float64 {
 	return math.Log(rss/nf) + (1+trH/nf)/denom
 }
 
-// NaiveGridSearchAICc evaluates AICcScore per grid point, any kernel.
-func NaiveGridSearchAICc(x, y []float64, g Grid, k kernel.Kind) (Result, error) {
+// NaiveGridSearchAICcContext evaluates AICcScore per grid point, any
+// kernel. ctx is polled before each candidate's O(n²) score;
+// cancellation returns ctx.Err() and a zero Result.
+func NaiveGridSearchAICcContext(ctx context.Context, x, y []float64, g Grid, k kernel.Kind) (Result, error) {
 	if err := validateSample(x, y); err != nil {
 		return Result{}, err
 	}
@@ -74,6 +76,9 @@ func NaiveGridSearchAICc(x, y []float64, g Grid, k kernel.Kind) (Result, error) 
 	}
 	scores := make([]float64, g.Len())
 	for j, h := range g.H {
+		if err := ctx.Err(); err != nil {
+			return Result{}, err
+		}
 		scores[j] = AICcScore(x, y, h, k)
 	}
 	return Best(g, scores), nil

@@ -21,7 +21,7 @@ func TestAICcSortedMatchesNaive(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			naive, err := NaiveGridSearchAICc(d.X, d.Y, g, kernel.Epanechnikov)
+			naive, err := NaiveGridSearchAICcContext(context.Background(), d.X, d.Y, g, kernel.Epanechnikov)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -53,7 +53,7 @@ func TestAICcProperty(t *testing.T) {
 		if err != nil {
 			return true
 		}
-		naive, err1 := NaiveGridSearchAICc(x, y, g, kernel.Epanechnikov)
+		naive, err1 := NaiveGridSearchAICcContext(context.Background(), x, y, g, kernel.Epanechnikov)
 		sorted, err2 := SortedGridSearchAICcContext(context.Background(), x, y, g)
 		if err1 != nil || err2 != nil {
 			return false
@@ -100,7 +100,7 @@ func TestAICcDegenerateCases(t *testing.T) {
 	}
 	// Validation.
 	g := Grid{H: []float64{0.5}}
-	if _, err := NaiveGridSearchAICc(d.X, d.Y[:3], g, kernel.Epanechnikov); err == nil {
+	if _, err := NaiveGridSearchAICcContext(context.Background(), d.X, d.Y[:3], g, kernel.Epanechnikov); err == nil {
 		t.Error("length mismatch should fail")
 	}
 	if _, err := SortedGridSearchAICcContext(context.Background(), d.X, d.Y, Grid{}); err == nil {
@@ -123,9 +123,10 @@ func TestAICcPenalisesRoughness(t *testing.T) {
 	}
 }
 
-// TestAICcCancellation cancels the sorted AICc sweep before it starts
-// and after a few observations: each must return ctx.Err() and a zero
-// Result.
+// TestAICcCancellation cancels the sorted and the naive AICc searches
+// before they start and after a few polls (observations for the sorted
+// sweep, candidates for the naive one): each must return ctx.Err() and
+// a zero Result.
 func TestAICcCancellation(t *testing.T) {
 	d := data.GeneratePaper(200, 4)
 	g, err := DefaultGrid(d.X, 20)
@@ -134,20 +135,31 @@ func TestAICcCancellation(t *testing.T) {
 	}
 	pre, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, c := range []struct {
+	engines := []struct {
 		name string
-		ctx  context.Context
+		run  func(ctx context.Context) (Result, error)
 	}{
-		{"pre-cancelled", pre},
-		{"mid-flight", &tripCtx{Context: context.Background(), trip: 10}},
-	} {
-		name := c.name
-		got, err := SortedGridSearchAICcContext(c.ctx, d.X, d.Y, g)
-		if !errors.Is(err, context.Canceled) {
-			t.Errorf("%s: err = %v, want context.Canceled", name, err)
-		}
-		if !reflect.DeepEqual(got, Result{}) {
-			t.Errorf("%s: cancelled search returned %+v, want a zero Result", name, got)
+		{"sorted", func(ctx context.Context) (Result, error) { return SortedGridSearchAICcContext(ctx, d.X, d.Y, g) }},
+		{"naive", func(ctx context.Context) (Result, error) {
+			return NaiveGridSearchAICcContext(ctx, d.X, d.Y, g, kernel.Epanechnikov)
+		}},
+	}
+	for _, e := range engines {
+		for _, c := range []struct {
+			name string
+			ctx  context.Context
+		}{
+			{"pre-cancelled", pre},
+			{"mid-flight", &tripCtx{Context: context.Background(), trip: 10}},
+		} {
+			name := e.name + "/" + c.name
+			got, err := e.run(c.ctx)
+			if !errors.Is(err, context.Canceled) {
+				t.Errorf("%s: err = %v, want context.Canceled", name, err)
+			}
+			if !reflect.DeepEqual(got, Result{}) {
+				t.Errorf("%s: cancelled search returned %+v, want a zero Result", name, got)
+			}
 		}
 	}
 }

@@ -32,10 +32,10 @@ import (
 // regardless of which worker goroutine runs it, so a (sample, options)
 // pair maps to exactly one answer on every run and every GOMAXPROCS.
 
-// DefaultBags is the subsample count used when BaggedOptions.Bags is 0.
+// defaultBags is the subsample count used when BaggedOptions.Bags is 0.
 // Variance of the bagged bandwidth decays like 1/r; past a few tens of
 // bags the subsampling bias dominates and more bags stop helping.
-const DefaultBags = 20
+const defaultBags = 20
 
 // Bag-size defaults: below baggedSmallN the quadratic sweep is already
 // cheap, so bagging would only add noise — the selector degenerates to
@@ -49,10 +49,10 @@ const (
 	baggedSizeGrowthPower = 0.7
 )
 
-// DefaultBagSize returns the subsample size used when
+// defaultBagSize returns the subsample size used when
 // BaggedOptions.BagSize is 0: n itself for small samples (the selection
 // is then exact), min(4096, max(512, ⌈n^0.7⌉)) otherwise.
-func DefaultBagSize(n int) int {
+func defaultBagSize(n int) int {
 	if n <= baggedSmallN {
 		return n
 	}
@@ -104,9 +104,10 @@ func ParseAggregation(s string) (Aggregation, error) {
 
 // BaggedOptions configures BaggedGridSearchContext.
 type BaggedOptions struct {
-	// Bags is the number of subsamples r (0 = DefaultBags).
+	// Bags is the number of subsamples r (0 = 20).
 	Bags int
-	// BagSize is the subsample size m, 2 ≤ m ≤ n (0 = DefaultBagSize(n)).
+	// BagSize is the subsample size m, 2 ≤ m ≤ n (0 = n for n ≤ 512,
+	// else min(4096, max(512, ⌈n^0.7⌉))).
 	BagSize int
 	// Seed fixes the PCG subsampling streams; equal seeds reproduce the
 	// selection bit-for-bit.
@@ -171,14 +172,14 @@ func BaggedGridSearchContext(ctx context.Context, x, y []float64, g Grid, k kern
 	n := len(x)
 	r := opt.Bags
 	if r == 0 {
-		r = DefaultBags
+		r = defaultBags
 	}
 	if r < 1 {
 		return BaggedResult{}, fmt.Errorf("bandwidth: bags must be at least 1, got %d", r)
 	}
 	m := opt.BagSize
 	if m == 0 {
-		m = DefaultBagSize(n)
+		m = defaultBagSize(n)
 	}
 	if m < 2 {
 		return BaggedResult{}, fmt.Errorf("bandwidth: bag size must be at least 2, got %d", m)

@@ -26,7 +26,8 @@ import (
 //     the cooperative ctx polls a selection performs before reporting
 //     context.Canceled; a warm cache would answer after the entry poll
 //     alone and mask the dispatch path those tests exist to probe. The
-//     cache has its own battery in internal/coord and cmd/bwbench.
+//     cache has its own batteries: TestCacheReplay in internal/coord and
+//     TestCoordCacheReplay here.
 var (
 	coordOnce   sync.Once
 	coordShared *coord.Coordinator

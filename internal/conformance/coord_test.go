@@ -9,37 +9,30 @@ import (
 	"repro/internal/bandwidth"
 	"repro/internal/coord"
 	"repro/internal/kernel"
+	"repro/internal/method"
 	"repro/internal/serve"
 )
 
-// singleNode runs the method directly through internal/bandwidth — the
-// reference the sharded coordinator must reproduce bit for bit.
-func singleNode(t *testing.T, method string, x, y []float64, g bandwidth.Grid) bandwidth.Result {
+// singleNode runs the shardable method's CV engine from the method
+// table directly — the reference the sharded coordinator must reproduce
+// bit for bit.
+func singleNode(t *testing.T, name string, x, y []float64, g bandwidth.Grid) bandwidth.Result {
 	t.Helper()
-	ctx := context.Background()
-	var (
-		res bandwidth.Result
-		err error
-	)
-	switch method {
-	case "sorted":
-		res, err = bandwidth.SortedGridSearchKernelStabilityContext(ctx, x, y, g, kernel.Epanechnikov, bandwidth.Compensated)
-	case "twopointer":
-		res, err = bandwidth.TwoPointerGridSearchKernelStabilityContext(ctx, x, y, g, kernel.Epanechnikov, bandwidth.Compensated)
-	case "naive":
-		res, err = bandwidth.NaiveGridSearchContext(ctx, x, y, g, kernel.Epanechnikov)
-	default:
-		t.Fatalf("no reference for %q", method)
-	}
+	row, err := method.Shard(name)
 	if err != nil {
-		t.Fatalf("single-node %s: %v", method, err)
+		t.Fatal(err)
+	}
+	spec := method.Spec{Kernel: kernel.Epanechnikov, Stability: bandwidth.Compensated}
+	res, err := row.CV.Run(context.Background(), x, y, g, spec)
+	if err != nil {
+		t.Fatalf("single-node %s: %v", name, err)
 	}
 	return res
 }
 
 // TestCoordShardedBitIdentical sweeps the full corpus through the
-// shared 3-replica cluster for every shardable exact method and
-// requires the merged result — bandwidth, CV, winning index and the
+// shared 3-replica cluster for every shardable row of the method table
+// and requires the merged result — bandwidth, CV, winning index and the
 // whole score vector — to be bitwise equal to a single node's.
 func TestCoordShardedBitIdentical(t *testing.T) {
 	c, err := sharedCoordinator()
@@ -54,15 +47,18 @@ func TestCoordShardedBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: grid: %v", d.Name, err)
 		}
-		for _, method := range []string{"sorted", "twopointer", "naive"} {
-			want := singleNode(t, method, d.X, d.Y, g)
+		for _, row := range method.Rows() {
+			if !row.Shardable {
+				continue
+			}
+			want := singleNode(t, row.Name, d.X, d.Y, g)
 			got, err := c.Select(context.Background(), coord.Job{
-				X: d.X, Y: d.Y, Grid: g, Method: method, KeepScores: true,
+				X: d.X, Y: d.Y, Grid: g, Method: row.Name, KeepScores: true,
 			})
 			if err != nil {
-				t.Fatalf("%s/%s: %v", d.Name, method, err)
+				t.Fatalf("%s/%s: %v", d.Name, row.Name, err)
 			}
-			label := fmt.Sprintf("%s/%s", d.Name, method)
+			label := fmt.Sprintf("%s/%s", d.Name, row.Name)
 			if math.Float64bits(got.H) != math.Float64bits(want.H) {
 				t.Errorf("%s: H bits %016x, want %016x", label, math.Float64bits(got.H), math.Float64bits(want.H))
 			}

@@ -18,8 +18,8 @@ import (
 //
 // The oracle is mvreg.CVScore evaluated per cell in odometer order
 // (dimension 0 fastest) — the definitional objective with no
-// incremental shortcut to get wrong. MeshSearch is Exact-class: same
-// arg-min cell, CV within exactCVTol, with the exact-tie escape when
+// incremental shortcut to get wrong. MeshSearchContext is Exact-class:
+// same arg-min cell, CV within exactCVTol, with the exact-tie escape when
 // the oracle itself cannot separate two cells. CoordinateDescent has no
 // global-optimality contract; its policy is self-consistency (the
 // reported CV is the oracle at the reported H) plus coordinate-wise

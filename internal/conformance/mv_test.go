@@ -69,7 +69,7 @@ func TestMVDegenerateContract(t *testing.T) {
 		if o.Scores[0] != 0 {
 			t.Fatalf("oracle sub-spacing cell scores %g, want exactly 0", o.Scores[0])
 		}
-		got, err := mvreg.MeshSearch(d.S, d.Grids, kernel.Epanechnikov)
+		got, err := mvreg.MeshSearchContext(context.Background(), d.S, d.Grids, kernel.Epanechnikov)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -225,12 +225,8 @@ func naiveLocalLinear(ctx context.Context, x, y []float64, g bandwidth.Grid, s S
 	return bandwidth.NaiveGridSearchLocalLinearContext(ctx, x, y, g, s.Kernel)
 }
 
-// naiveAICc has no cancellable engine, so ctx is honoured at entry only.
 func naiveAICc(ctx context.Context, x, y []float64, g bandwidth.Grid, s Spec) (bandwidth.Result, error) {
-	if err := ctx.Err(); err != nil {
-		return bandwidth.Result{}, err
-	}
-	return bandwidth.NaiveGridSearchAICc(x, y, g, s.Kernel)
+	return bandwidth.NaiveGridSearchAICcContext(ctx, x, y, g, s.Kernel)
 }
 
 func gpu(ctx context.Context, x, y []float64, g bandwidth.Grid, s Spec) (bandwidth.Result, error) {

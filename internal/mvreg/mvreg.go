@@ -9,8 +9,8 @@
 //
 // Two searches are provided:
 //
-//   - MeshSearch evaluates CV on the full Cartesian product of per-
-//     dimension grids. For the product Epanechnikov kernel it runs the
+//   - MeshSearchContext evaluates CV on the full Cartesian product of
+//     per-dimension grids. For the product Epanechnikov kernel it runs the
 //     fast-sum-updating sweep (see sweep.go): dimension 0 is swept
 //     incrementally over one co-sorted axis order, so a k₀-point axis
 //     costs one weighted merge instead of k₀ full passes. Other kernels
@@ -20,8 +20,8 @@
 //     sorted incremental sweep, generalised to carry the other
 //     dimensions' kernel weights as observation weights.
 //
-// Both have ...Context variants that poll cancellation at sweep
-// granularity.
+// Both poll cancellation at sweep granularity (CoordinateDescentContext
+// for the second).
 package mvreg
 
 import (
@@ -190,7 +190,7 @@ type Result struct {
 	H      []float64 // selected bandwidth vector
 	CV     float64
 	Evals  int // CV-objective evaluations (mesh cells or sweep points)
-	Sweeps int // coordinate-descent passes performed (0 for MeshSearch)
+	Sweeps int // coordinate-descent passes performed (0 for MeshSearchContext)
 }
 
 // DefaultGrids builds the paper's default grid independently per
@@ -222,7 +222,7 @@ func DefaultGrids(s Sample, k int) ([][]float64, error) {
 	return grids, nil
 }
 
-// MaxMeshCells bounds the Cartesian product MeshSearch will enumerate.
+// MaxMeshCells bounds the Cartesian product MeshSearchContext will enumerate.
 const MaxMeshCells = 1 << 20
 
 // validateGrids applies the shared per-dimension grid contract: one grid
@@ -254,19 +254,15 @@ func validateGrids(s Sample, grids [][]float64) error {
 	return nil
 }
 
-// MeshSearch evaluates CV over the full Cartesian product of the per-
-// dimension grids and returns the best bandwidth vector. Exact over the
-// mesh; cost grows as Πk_d, so it refuses meshes above MaxMeshCells.
-func MeshSearch(s Sample, grids [][]float64, k kernel.Kind) (Result, error) {
-	return MeshSearchContext(context.Background(), s, grids, k)
-}
-
-// MeshSearchContext is MeshSearch with cooperative cancellation, polled
-// at sweep granularity. For the product Epanechnikov kernel the mesh is
-// served by the fast-sum-updating sweep (see sweep.go); other kernels
-// evaluate the naive objective per cell. Both visit cells in the same
-// odometer order (dimension 0 fastest) with a strict first-minimum
-// comparison, so ties resolve to the lowest-index cell either way.
+// MeshSearchContext evaluates CV over the full Cartesian product of the
+// per-dimension grids and returns the best bandwidth vector. Exact over
+// the mesh; cost grows as Πk_d, so it refuses meshes above MaxMeshCells.
+// ctx is polled at sweep granularity. For the product Epanechnikov
+// kernel the mesh is served by the fast-sum-updating sweep (see
+// sweep.go); other kernels evaluate the naive objective per cell. Both
+// visit cells in the same odometer order (dimension 0 fastest) with a
+// strict first-minimum comparison, so ties resolve to the lowest-index
+// cell either way.
 func MeshSearchContext(ctx context.Context, s Sample, grids [][]float64, k kernel.Kind) (Result, error) {
 	if err := s.Validate(); err != nil {
 		return Result{}, err

@@ -203,7 +203,7 @@ func TestDefaultGrids(t *testing.T) {
 func TestMeshSearchExactOnSmallMesh(t *testing.T) {
 	s := bivariateSample(50, 9)
 	grids := [][]float64{{0.2, 0.4, 0.8}, {0.2, 0.4, 0.8}}
-	res, err := MeshSearch(s, grids, kernel.Epanechnikov)
+	res, err := MeshSearchContext(context.Background(), s, grids, kernel.Epanechnikov)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,8 +250,8 @@ func TestDegenerateGridErrors(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := MeshSearch(s, tc.grids, kernel.Epanechnikov); err == nil || err.Error() != tc.want {
-				t.Errorf("MeshSearch error = %v, want %q", err, tc.want)
+			if _, err := MeshSearchContext(context.Background(), s, tc.grids, kernel.Epanechnikov); err == nil || err.Error() != tc.want {
+				t.Errorf("MeshSearchContext error = %v, want %q", err, tc.want)
 			}
 			if _, err := CoordinateDescent(s, tc.grids, 0); err == nil || err.Error() != tc.want {
 				t.Errorf("CoordinateDescent error = %v, want %q", err, tc.want)
@@ -304,7 +304,7 @@ func TestCoordinateDescentAgreesWithMesh(t *testing.T) {
 	// the full mesh optimum (or at least its CV within a whisker).
 	s := bivariateSample(80, 13)
 	grids := [][]float64{{0.1, 0.2, 0.3, 0.5, 0.8}, {0.1, 0.2, 0.3, 0.5, 0.8}}
-	mesh, err := MeshSearch(s, grids, kernel.Epanechnikov)
+	mesh, err := MeshSearchContext(context.Background(), s, grids, kernel.Epanechnikov)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,10 +373,25 @@ func trivariateSample(n int, seed int64) Sample {
 	return s
 }
 
+// surfaceSample draws X uniformly on the unit square with a smooth
+// response that couples both regressors.
+func surfaceSample(n int, seed int64) Sample {
+	rng := rand.New(rand.NewSource(seed))
+	s := Sample{X: make([][]float64, n), Y: make([]float64, n)}
+	for i := 0; i < n; i++ {
+		a, b := rng.Float64(), rng.Float64()
+		s.X[i] = []float64{a, b}
+		s.Y[i] = a + 2*b*b + math.Sin(4*a*b) + 0.2*rng.NormFloat64()
+	}
+	return s
+}
+
 // TestMeshSweepMatchesNaivePath pins the tentpole invariant: the
 // fast-sum-updating Epanechnikov mesh sweep and the per-cell naive
 // odometer must agree on every cell's objective, on the winning cell,
-// and on the eval count — including anisotropic grids and d=3.
+// and on the eval count — including anisotropic grids, d=3, and one
+// n = 1,000 sample on the default 8×8 mesh. A case with nil grids runs
+// on DefaultGrids(s, 8) and is skipped under -short.
 func TestMeshSweepMatchesNaivePath(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -390,9 +405,20 @@ func TestMeshSweepMatchesNaivePath(t *testing.T) {
 			Y: []float64{1, 2, 3, 4, 3.5},
 		}, [][]float64{{0.2, 0.5, 1.0}, {0.2, 0.5, 1.0}}},
 		{"trivariate", trivariateSample(40, 23), [][]float64{{0.2, 0.5, 0.9}, {0.3, 0.6}, {0.25, 0.55, 0.85, 1.2}}},
+		{"surface-n1000-default-grids", surfaceSample(1000, 42), nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			if tc.grids == nil {
+				if testing.Short() {
+					t.Skip("n = 1,000 naive mesh takes about 2 s")
+				}
+				grids, err := DefaultGrids(tc.s, 8)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tc.grids = grids
+			}
 			fast, err := meshSweep(context.Background(), tc.s, tc.grids)
 			if err != nil {
 				t.Fatal(err)
@@ -457,7 +483,7 @@ func TestMeshSearchTieBreakLowestIndex(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, k := range []kernel.Kind{kernel.Epanechnikov, kernel.Triangular} {
-				res, err := MeshSearch(tc.s, grids, k)
+				res, err := MeshSearchContext(context.Background(), tc.s, grids, k)
 				if err != nil {
 					t.Fatal(err)
 				}

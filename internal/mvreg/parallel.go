@@ -22,11 +22,11 @@ import (
 // merge takes the strict first minimum across workers in column order —
 // the same argmin decomposition the sequential odometer performs.
 
-// MeshSearchParallelContext is MeshSearch with the mesh columns sharded
-// across worker goroutines (0 = GOMAXPROCS), bit-identical to MeshSearch
-// for every worker count. ctx is polled at sweep granularity inside
-// every worker. Kernels
-// without a prefix decomposition fall back to the sequential naive mesh.
+// MeshSearchParallelContext is MeshSearchContext with the mesh columns
+// sharded across worker goroutines (0 = GOMAXPROCS), bit-identical to
+// MeshSearchContext for every worker count. ctx is polled at sweep
+// granularity inside every worker. Kernels without a prefix
+// decomposition fall back to the sequential naive mesh.
 func MeshSearchParallelContext(ctx context.Context, s Sample, grids [][]float64, k kernel.Kind, workers int) (Result, error) {
 	if err := s.Validate(); err != nil {
 		return Result{}, err

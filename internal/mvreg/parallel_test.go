@@ -43,7 +43,7 @@ func TestMeshParallelBitIdentical(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			seq, err := MeshSearch(tc.s, tc.grids, kernel.Epanechnikov)
+			seq, err := MeshSearchContext(context.Background(), tc.s, tc.grids, kernel.Epanechnikov)
 			if err != nil {
 				t.Fatalf("sequential: %v", err)
 			}
@@ -81,7 +81,7 @@ func TestMeshParallelTies(t *testing.T) {
 		s.Y = append(s.Y, 1.0)
 	}
 	grids := [][]float64{mvTestGrid(0.5, 2, 4), mvTestGrid(0.5, 2, 6)}
-	seq, err := MeshSearch(s, grids, kernel.Epanechnikov)
+	seq, err := MeshSearchContext(context.Background(), s, grids, kernel.Epanechnikov)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,11 +99,11 @@ func TestMeshParallelTies(t *testing.T) {
 }
 
 // TestMeshParallelNaiveFallback: non-Epanechnikov kernels take the
-// sequential naive path and must agree with MeshSearch exactly.
+// sequential naive path and must agree with MeshSearchContext exactly.
 func TestMeshParallelNaiveFallback(t *testing.T) {
 	s := parallelSample(32, 2, 4)
 	grids := [][]float64{mvTestGrid(0.2, 1, 4), mvTestGrid(0.2, 1, 4)}
-	seq, err := MeshSearch(s, grids, kernel.Gaussian)
+	seq, err := MeshSearchContext(context.Background(), s, grids, kernel.Gaussian)
 	if err != nil {
 		t.Fatal(err)
 	}

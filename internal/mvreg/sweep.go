@@ -15,7 +15,7 @@
 //
 //     over neighbours with |d| ≤ h.
 //
-// MeshSearch sweeps dimension 0 (the odometer's fastest axis) so one
+// MeshSearchContext sweeps dimension 0 (the odometer's fastest axis) so one
 // merge per observation serves all k₀ cells of a mesh column, an
 // O(k₀)-fold saving over the naive per-cell objective; CoordinateDescent
 // sweeps each dimension in turn against its full candidate grid.

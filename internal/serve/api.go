@@ -24,7 +24,9 @@ import (
 //
 // Error mapping: malformed or over-limit bodies → 400/413 before the
 // pool is involved; a full queue → 429; draining → 503; a request that
-// exceeds its compute deadline → 504.
+// exceeds its compute deadline → 504. Every POST body is read through
+// http.MaxBytesReader (Config.maxBodyBytes), so an oversized body is a
+// 413 after at most that many bytes, never buffered whole.
 
 // SelectRequest is the body of POST /v1/select.
 type SelectRequest struct {
@@ -132,11 +134,44 @@ func tooLarge(format string, args ...any) *httpError {
 	return &httpError{status: http.StatusRequestEntityTooLarge, msg: fmt.Sprintf(format, args...)}
 }
 
-// decodeJSON decodes exactly one strict JSON object from body.
+// Body-size budget. A JSON number of float64 precision takes at most
+// 25 bytes with its separator, and a base64 float64 about 11, so 32
+// bytes per number leaves room for whitespace; bodySlack covers field
+// names, scalar fields and the brackets of the x_matrix rows.
+const (
+	bytesPerNumber = 32
+	bodySlack      = 64 << 10
+)
+
+// maxBodyBytes bounds every request body: room for the largest array
+// set an admissible request carries — x, y and points on
+// /v1/fit-predict; x, y and the grid on /v1/shard; and an mv
+// x_matrix of mvMaxN rows of mvMaxDim coordinates plus y, which is
+// capped by mvMaxN rather than MaxN — at bytesPerNumber each.
+func (c Config) maxBodyBytes() int64 {
+	numbers := max(3*c.MaxN, 2*c.MaxN+c.MaxGrid, (mvMaxDim+1)*mvMaxN)
+	return int64(numbers)*bytesPerNumber + bodySlack
+}
+
+// limitBody reads the request body through http.MaxBytesReader, so
+// decodeJSON stops after limit bytes instead of buffering any body.
+func limitBody(limit int64, h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		r.Body = http.MaxBytesReader(w, r.Body, limit)
+		h(w, r)
+	}
+}
+
+// decodeJSON decodes exactly one strict JSON object from body. A body
+// cut by limitBody is a 413.
 func decodeJSON(body io.Reader, dst any) *httpError {
 	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
+		var over *http.MaxBytesError
+		if errors.As(err, &over) {
+			return tooLarge("request body exceeds the limit of %d bytes", over.Limit)
+		}
 		return badRequest("invalid JSON body: %v", err)
 	}
 	if dec.More() {
@@ -313,15 +348,16 @@ func decodeFitPredictRequest(body io.Reader, cfg Config) (*FitPredictRequest, *h
 
 func (s *Server) routes() *http.ServeMux {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/select", s.handleSelect)
-	mux.HandleFunc("POST /v1/shard", s.handleShard)
+	limit := s.cfg.maxBodyBytes()
+	mux.HandleFunc("POST /v1/select", limitBody(limit, s.handleSelect))
+	mux.HandleFunc("POST /v1/shard", limitBody(limit, s.handleShard))
 	mux.HandleFunc("GET /v1/load", s.handleLoad)
-	mux.HandleFunc("POST /v1/fit-predict", s.handleFitPredict)
+	mux.HandleFunc("POST /v1/fit-predict", limitBody(limit, s.handleFitPredict))
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /v1/devices", s.handleDevices)
 	if s.cfg.FaultInjection {
-		mux.HandleFunc("POST /v1/devices/inject", s.handleInject)
+		mux.HandleFunc("POST /v1/devices/inject", limitBody(limit, s.handleInject))
 	}
 	return mux
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"net/http"
+	"strings"
 	"testing"
 )
 
@@ -126,11 +127,14 @@ func FuzzSelectRequestDecode(f *testing.F) {
 // answer (no panic, no hang) and malformed input must never surface as
 // a 5xx.
 func FuzzSelectEndpoint(f *testing.F) {
+	cfg := Config{Workers: 2, MaxN: 512, MaxGrid: 64}
 	f.Add([]byte(`{"x":[0,1,2,3],"y":[1,0,1,0],"grid_size":4}`))
 	f.Add([]byte(`{"x":"p","y":[]}`))
 	f.Add([]byte(`{`))
+	// A valid object cut one byte past the body limit.
+	f.Add([]byte(`{"x":[0,1,2,3],"y":[1,0,1,0]` + strings.Repeat(" ", int(cfg.withDefaults().maxBodyBytes())) + `}`))
 
-	srv := New(Config{Workers: 2, MaxN: 512, MaxGrid: 64})
+	srv := New(cfg)
 	handler := srv.Handler()
 
 	f.Fuzz(func(t *testing.T, data []byte) {

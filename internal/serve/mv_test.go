@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -66,10 +67,53 @@ func TestMVSelectEndpointMatchesDirectCall(t *testing.T) {
 	}
 }
 
+// mvBodyAt is a "method": "mv" mesh body of mvMaxN rows of mvMaxDim
+// coordinates — the largest arrays an admissible request carries once
+// MaxN is below mvMaxN — with every number written out to 30 or 31
+// characters, padded with spaces inside the object to exactly size
+// bytes.
+func mvBodyAt(t *testing.T, size int64) []byte {
+	t.Helper()
+	var b strings.Builder
+	b.WriteString(`{"method":"mv","mesh":true,"grid_size":1,"x_matrix":[`)
+	for i := 0; i < mvMaxN; i++ {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteByte('[')
+		for j := 0; j < mvMaxDim; j++ {
+			if j > 0 {
+				b.WriteByte(',')
+			}
+			fmt.Fprintf(&b, "%.28f", math.Mod(float64(i)*0.6180339887+float64(j)*0.1, 1))
+		}
+		b.WriteByte(']')
+	}
+	b.WriteString(`],"y":[`)
+	for i := 0; i < mvMaxN; i++ {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, "%.29f", math.Mod(float64(i)*0.7548776662, 1))
+	}
+	b.WriteByte(']')
+	pad := size - int64(b.Len()) - 1
+	if pad < 0 {
+		t.Fatalf("mv body needs %d bytes, more than %d", b.Len()+1, size)
+	}
+	b.WriteString(strings.Repeat(" ", int(pad)))
+	b.WriteByte('}')
+	return []byte(b.String())
+}
+
 // TestMVSelectRejections pins the exact 4xx status and message for every
-// invalid mv request shape.
+// invalid mv request shape, and the body limit at its edge: a body of
+// exactly Config.maxBodyBytes carrying the largest admissible arrays is
+// served, one byte more is a 413. MaxN is below mvMaxN, so the mv arrays
+// are the largest any admissible request carries.
 func TestMVSelectRejections(t *testing.T) {
-	srv := New(Config{Workers: 1})
+	srv := New(Config{Workers: 1, MaxN: 16})
+	limit := srv.cfg.maxBodyBytes()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	defer srv.Drain(context.Background())
@@ -84,9 +128,11 @@ func TestMVSelectRejections(t *testing.T) {
 	wideRow := make([]float64, mvMaxDim+1)
 	boolPtr := func(b bool) *bool { return &b }
 
+	// A rawBody req is posted as is rather than marshalled.
+	type rawBody []byte
 	cases := []struct {
 		name   string
-		req    SelectRequest
+		req    any
 		status int
 		msg    string
 	}{
@@ -126,12 +172,28 @@ func TestMVSelectRejections(t *testing.T) {
 			http.StatusBadRequest, `bags, bag_size and seed require "method": "bagged", got "mv"`},
 		{"zero-domain-dimension", SelectRequest{Method: "mv", XMatrix: [][]float64{{1, 5}, {2, 5}, {3, 5}}, Y: []float64{1, 2, 3}},
 			http.StatusBadRequest, `mvreg: dimension 1 has zero domain`},
+		{"largest-admissible-body", rawBody(mvBodyAt(t, limit)), http.StatusOK, ""},
+		{"oversized-body", rawBody(mvBodyAt(t, limit+1)),
+			http.StatusRequestEntityTooLarge, `request body exceeds the limit of 1245184 bytes`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/select", tc.req)
+			var resp *http.Response
+			var body []byte
+			if raw, ok := tc.req.(rawBody); ok {
+				resp, body = postRaw(t, ts.Client(), ts.URL+"/v1/select", raw)
+			} else {
+				resp, body = postJSON(t, ts.Client(), ts.URL+"/v1/select", tc.req)
+			}
 			if resp.StatusCode != tc.status {
-				t.Fatalf("status %d, want %d: %s", resp.StatusCode, tc.status, body)
+				t.Fatalf("status %d, want %d: %.200s", resp.StatusCode, tc.status, body)
+			}
+			if tc.status == http.StatusOK {
+				var got SelectResponse
+				if err := json.Unmarshal(body, &got); err != nil || len(got.Bandwidths) != mvMaxDim {
+					t.Fatalf("served %s (err %v), want %d bandwidths", body, err, mvMaxDim)
+				}
+				return
 			}
 			if got := strings.TrimSpace(string(body)); got != tc.msg {
 				t.Errorf("message %q, want %q", got, tc.msg)

@@ -40,6 +40,11 @@ func postJSON(t *testing.T, client *http.Client, url string, body any) (*http.Re
 	if err != nil {
 		t.Fatal(err)
 	}
+	return postRaw(t, client, url, b)
+}
+
+func postRaw(t *testing.T, client *http.Client, url string, b []byte) (*http.Response, []byte) {
+	t.Helper()
 	resp, err := client.Post(url, "application/json", bytes.NewReader(b))
 	if err != nil {
 		t.Fatal(err)

@@ -19,10 +19,10 @@ import (
 // window sweep (O(n log n + k·n)) on identical data and grids. Both run
 // out of pooled workspaces; ReportAllocs shows what each copies out.
 //
-// cmd/bwbench -twopointer runs the same cells via testing.Benchmark and
-// writes BENCH_4.json; EXPERIMENTS.md quotes those numbers. BENCH_4
-// predates the merge in the sorted search: its sorted cells timed a
-// QuickSort per observation, O(n² log n).
+// BENCH_4.json is a record of these cells from a retired JSON
+// generator; EXPERIMENTS.md quotes it, and this benchmark is its live
+// equivalent. BENCH_4 predates the merge in the sorted search: its
+// sorted cells timed a QuickSort per observation, O(n² log n).
 func BenchmarkTwoPointerVsSorted(b *testing.B) {
 	for _, n := range []int{500, 2000, 10000} {
 		for _, k := range []int{50, 500} {
