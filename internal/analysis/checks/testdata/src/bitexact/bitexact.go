@@ -109,7 +109,7 @@ func unannotated(m map[int]float64) time.Time {
 //
 //kernvet:bitexact
 func suppressedClock() time.Duration {
-	start := time.Now() //kernvet:ignore bitexact -- testdata: wall clock feeds metrics, not the result
+	start := time.Now()    //kernvet:ignore bitexact -- testdata: wall clock feeds metrics, not the result
 	d := time.Since(start) //kernvet:ignore bitexact -- testdata: wall clock feeds metrics, not the result
 	return d
 }

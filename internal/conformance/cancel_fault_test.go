@@ -18,11 +18,11 @@ import (
 // across the requeue boundary, into the second round and out the far
 // side — and checks two contracts at every landing point:
 //
-//   1. cancelled runs return ctx.Err() with a zero result, completed
-//      runs are bit-identical to the healthy baseline (the fault is
-//      survivable: one device of three);
-//   2. the workspace pool balances: every acquire across the sweep is
-//      matched by a release, whichever path the run exited through.
+//  1. cancelled runs return ctx.Err() with a zero result, completed
+//     runs are bit-identical to the healthy baseline (the fault is
+//     survivable: one device of three);
+//  2. the workspace pool balances: every acquire across the sweep is
+//     matched by a release, whichever path the run exited through.
 //
 // The test must NOT run parallel to other pool users: the pool counters
 // are process-global, so the balance assertion needs the package's

@@ -239,8 +239,8 @@ func FuzzMultiGPUFaultPlan(f *testing.F) {
 	f.Add(uint8(7), uint8(3), uint8(4), uint8(3), uint8(2), uint8(9))
 	f.Add(uint8(2), uint8(1), uint8(1), uint8(0), uint8(0), uint8(1))
 	f.Fuzz(func(t *testing.T, nn, kk, dd, fdev, fkind, fstep uint8) {
-		n := 2 + int(nn)%129    // 2..130
-		k := 1 + int(kk)%16     // 1..16
+		n := 2 + int(nn)%129     // 2..130
+		k := 1 + int(kk)%16      // 1..16
 		devices := 1 + int(dd)%4 // 1..4
 		d := data.GeneratePaper(n, 1)
 		g, err := bandwidth.DefaultGrid(d.X, k)

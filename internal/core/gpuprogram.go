@@ -102,83 +102,57 @@ func SelectGPU(x, y []float64, g bandwidth.Grid, opt GPUOptions) (bandwidth.Resu
 // pipeline offers finer per-chunk cancellation. Cancellation returns
 // ctx.Err() and a zero Result.
 func SelectGPUContext(ctx context.Context, x, y []float64, g bandwidth.Grid, opt GPUOptions) (bandwidth.Result, *GPUReport, error) {
+	res, rep, _, err := selectOnDevice(ctx, x, y, g, opt.withDefaults(), untiledShape, len(x))
+	return res, rep, err
+}
+
+// checkDeviceKernel rejects kernels outside the device program's compact
+// prefix-decomposable set.
+func checkDeviceKernel(kind kernel.Kind) error {
+	switch kind {
+	case kernel.Epanechnikov, kernel.Uniform, kernel.Triangular:
+		return nil
+	}
+	return fmt.Errorf("core: device program supports epanechnikov, uniform, triangular; got %v", kind)
+}
+
+// selectOnDevice is the single-device selection behind SelectGPU and
+// SelectGPUTiled: the pipeline over [0, n) with chunk resident scratch
+// rows (chunk ≤ 0 picks autoChunk), then the device arg-min. It returns
+// the chunk size used. opt must carry its defaults.
+func selectOnDevice(ctx context.Context, x, y []float64, g bandwidth.Grid, opt GPUOptions, shape launchShape, chunk int) (bandwidth.Result, *GPUReport, int, error) {
 	if err := checkInputs(x, y, g); err != nil {
-		return bandwidth.Result{}, nil, err
+		return bandwidth.Result{}, nil, 0, err
 	}
 	if err := ctx.Err(); err != nil {
-		return bandwidth.Result{}, nil, err
+		return bandwidth.Result{}, nil, 0, err
 	}
-	opt = opt.withDefaults()
-	switch opt.Kernel {
-	case kernel.Epanechnikov, kernel.Uniform, kernel.Triangular:
-	default:
-		return bandwidth.Result{}, nil, fmt.Errorf("core: device program supports epanechnikov, uniform, triangular; got %v", opt.Kernel)
+	if err := checkDeviceKernel(opt.Kernel); err != nil {
+		return bandwidth.Result{}, nil, 0, err
 	}
 	dev, err := gpu.NewDevice(opt.Props, gpu.Functional)
 	if err != nil {
-		return bandwidth.Result{}, nil, err
+		return bandwidth.Result{}, nil, 0, err
 	}
 	n := len(x)
 	k := g.Len()
-
-	// Constant memory: the bandwidth grid. The 8 KB cached working set
-	// caps this at 2,048 float32 values, the paper's hard limit on k.
-	bwSym, err := dev.UploadConstant("bandwidths", toF32(g.H))
+	p, err := newPipeline(shape, n, k, 0, n, chunk, opt.Props)
 	if err != nil {
-		return bandwidth.Result{}, nil, err
+		return bandwidth.Result{}, nil, 0, err
 	}
-
-	bufs, err := allocPipeline(dev, n, k)
+	bufs, mainTally, err := p.run(ctx, dev, x, y, g, opt)
 	if err != nil {
-		return bandwidth.Result{}, nil, err
-	}
-	if err := dev.CopyToDevice(bufs.dX, toF32(x)); err != nil {
-		return bandwidth.Result{}, nil, err
-	}
-	if err := dev.CopyToDevice(bufs.dY, toF32(y)); err != nil {
-		return bandwidth.Result{}, nil, err
-	}
-
-	if err := ctx.Err(); err != nil {
-		return bandwidth.Result{}, nil, err
-	}
-	mainTally, err := launchMainKernel(dev, bufs, bwSym, n, k, opt.BlockDim, opt.NoIndexSwitch, opt.Uncompensated, opt.Kernel)
-	if err != nil {
-		return bandwidth.Result{}, nil, err
-	}
-
-	// One summation reduction per bandwidth (paper: "a summation
-	// reduction is performed k times, once for each bandwidth").
-	// Compensated runs use the Kahan strided fold; the NoIndexSwitch
-	// ablation keeps the plain strided reduction in both modes, since it
-	// exists to reproduce the original program's memory traffic.
-	redDim := reduceDim(opt.ReduceDim, n)
-	for jh := 0; jh < k; jh++ {
-		if err := ctx.Err(); err != nil {
-			return bandwidth.Result{}, nil, err
-		}
-		switch {
-		case opt.NoIndexSwitch:
-			err = cuda.SumReduceStrided(dev, bufs.dResid, jh, n, k, bufs.dCV, jh, redDim)
-		case opt.Uncompensated:
-			err = cuda.SumReduce(dev, bufs.dResid, jh*n, n, bufs.dCV, jh, redDim)
-		default:
-			err = cuda.SumReduceKahan(dev, bufs.dResid, jh*n, n, bufs.dCV, jh, redDim)
-		}
-		if err != nil {
-			return bandwidth.Result{}, nil, err
-		}
+		return bandwidth.Result{}, nil, 0, err
 	}
 
 	argDim := reduceDim(opt.ReduceDim, k)
-	var am cuda.ArgMinResult
+	argMin := cuda.ArgMinReduce
 	if opt.UseIndexArgMin {
-		am, err = cuda.ArgMinIndexReduce(dev, bufs.dCV, k, bwSym, bufs.dOut, argDim)
-	} else {
-		am, err = cuda.ArgMinReduce(dev, bufs.dCV, k, bwSym, bufs.dOut, argDim)
+		argMin = cuda.ArgMinIndexReduce
 	}
+	am, err := argMin(dev, bufs.dCV, k, bufs.bw, bufs.dOut, argDim)
 	if err != nil {
-		return bandwidth.Result{}, nil, err
+		return bandwidth.Result{}, nil, 0, err
 	}
 
 	res := bandwidth.Result{
@@ -189,7 +163,7 @@ func SelectGPUContext(ctx context.Context, x, y []float64, g bandwidth.Grid, opt
 	if opt.KeepScores {
 		host := make([]float32, k)
 		if err := dev.CopyFromDevice(host, bufs.dCV); err != nil {
-			return bandwidth.Result{}, nil, err
+			return bandwidth.Result{}, nil, 0, err
 		}
 		res.Scores = make([]float64, k)
 		for jh, s := range host {
@@ -206,30 +180,77 @@ func SelectGPUContext(ctx context.Context, x, y []float64, g bandwidth.Grid, opt
 		Events:       dev.Clock().Events(),
 		MainTally:    mainTally,
 	}
-	freePipeline(dev, bufs)
-	return res, report, nil
+	return res, report, p.chunk, nil
+}
+
+// launchShape is one way of launching the device pipeline. The untiled
+// program, the tiled future-work pipeline and a multi-GPU device share
+// run the same kernel and allocation sequence; they differ only in the
+// names the ledger, Chrome traces and OOM messages show, and in whether
+// the device picks the winner.
+type launchShape struct {
+	kernel  string // main kernel name
+	scratch string // rows of the scratch matrices: "n", "C" or "share"
+	rows    string // rows of the accumulator matrices: "n" or "share"
+	// argMin allocates out[2] and ends with the device arg-min; a device
+	// share returns its raw per-bandwidth sums to the host instead.
+	argMin bool
+	// free releases every buffer at the end of a plan, charging cudaFree.
+	// Only the untiled plan does; the tiled and share plans leave their
+	// buffers to device teardown, and their modelled seconds omit it.
+	free bool
+}
+
+var (
+	untiledShape = launchShape{kernel: "bandwidthMain", scratch: "n", rows: "n", argMin: true, free: true}
+	tiledShape   = launchShape{kernel: "bandwidthMainTiled", scratch: "C", rows: "n", argMin: true}
+	shareShape   = launchShape{kernel: "bandwidthMainShare", scratch: "share", rows: "share"}
+)
+
+// pipeline is the device pipeline over the observations [lo, hi) of a
+// sample of size n, with chunk resident scratch rows: ⌈(hi−lo)/chunk⌉
+// main-kernel launches, then k per-bandwidth reductions.
+type pipeline struct {
+	launchShape
+	n, k, lo, hi, chunk int
+}
+
+// newPipeline resolves the chunk size: chunk ≤ 0 picks the largest that
+// fits the device (autoChunk), and no chunk exceeds the range.
+func newPipeline(shape launchShape, n, k, lo, hi, chunk int, props gpu.Properties) (pipeline, error) {
+	if chunk <= 0 {
+		var err error
+		if chunk, err = autoChunk(n, k, props); err != nil {
+			return pipeline{}, err
+		}
+	}
+	if chunk > hi-lo {
+		chunk = hi - lo
+	}
+	return pipeline{launchShape: shape, n: n, k: k, lo: lo, hi: hi, chunk: chunk}, nil
 }
 
 // pipelineBuffers holds the device allocations of the paper's program.
 type pipelineBuffers struct {
-	dX, dY         gpu.Buffer // n
-	dAbsD, dYM     gpu.Buffer // n×n scratch matrices
-	dSumY, dSumYD2 gpu.Buffer // n×k accumulators
-	dSumD2, dCnt   gpu.Buffer // n×k accumulators
-	dResid         gpu.Buffer // k×n (index-switched) squared residuals
-	dCV            gpu.Buffer // k
-	dOut           gpu.Buffer // 2 (min score, best bandwidth)
+	bw             *gpu.ConstSymbol // k bandwidths in constant memory
+	dX, dY         gpu.Buffer       // n
+	dAbsD, dYM     gpu.Buffer       // chunk×n scratch matrices
+	dSumY, dSumYD2 gpu.Buffer       // rows×k accumulators
+	dSumD2, dCnt   gpu.Buffer       // rows×k accumulators
+	dResid         gpu.Buffer       // k×rows (index-switched) squared residuals
+	dCV            gpu.Buffer       // k
+	dOut           gpu.Buffer       // 2 (min score, best bandwidth), argMin only
 }
 
-// allocPipeline performs the paper's allocation sequence. The two n×n
-// matrices dominate and produce the out-of-memory failure above
-// n = 20,000 on the 4 GB profile. The paper's description tracks two n×k
-// sum matrices explicitly; the Epanechnikov leave-one-out estimator also
-// needs the in-range ΣY and count per (observation, bandwidth), so four
-// accumulator matrices are allocated — the capacity cliff is unaffected
-// (at n = 20,000, k = 50 they total 16 MB against the n×n matrices'
-// 3.2 GB).
-func allocPipeline(dev *gpu.Device, n, k int) (pipelineBuffers, error) {
+// alloc performs the paper's allocation sequence. The two scratch
+// matrices dominate and, untiled (chunk = n), produce the out-of-memory
+// failure above n = 20,000 on the 4 GB profile. The paper's description
+// tracks two n×k sum matrices explicitly; the Epanechnikov leave-one-out
+// estimator also needs the in-range ΣY and count per (observation,
+// bandwidth), so four accumulator matrices are allocated — the capacity
+// cliff is unaffected (at n = 20,000, k = 50 they total 16 MB against the
+// n×n matrices' 3.2 GB).
+func (p pipeline) alloc(dev *gpu.Device) (pipelineBuffers, error) {
 	var b pipelineBuffers
 	var err error
 	alloc := func(dst *gpu.Buffer, elems int, label string) {
@@ -238,53 +259,125 @@ func allocPipeline(dev *gpu.Device, n, k int) (pipelineBuffers, error) {
 		}
 		*dst, err = dev.Malloc(elems, label)
 	}
+	n, k, rows := p.n, p.k, p.hi-p.lo
 	alloc(&b.dX, n, "x")
 	alloc(&b.dY, n, "y")
-	alloc(&b.dAbsD, n*n, "absdiff[n×n]")
-	alloc(&b.dYM, n*n, "ymatrix[n×n]")
-	alloc(&b.dSumY, n*k, "sumY[n×k]")
-	alloc(&b.dSumYD2, n*k, "sumYd2[n×k]")
-	alloc(&b.dSumD2, n*k, "sumD2[n×k]")
-	alloc(&b.dCnt, n*k, "count[n×k]")
-	alloc(&b.dResid, k*n, "resid[k×n]")
+	alloc(&b.dAbsD, p.chunk*n, "absdiff["+p.scratch+"×n]")
+	alloc(&b.dYM, p.chunk*n, "ymatrix["+p.scratch+"×n]")
+	alloc(&b.dSumY, rows*k, "sumY["+p.rows+"×k]")
+	alloc(&b.dSumYD2, rows*k, "sumYd2["+p.rows+"×k]")
+	alloc(&b.dSumD2, rows*k, "sumD2["+p.rows+"×k]")
+	alloc(&b.dCnt, rows*k, "count["+p.rows+"×k]")
+	alloc(&b.dResid, k*rows, "resid[k×"+p.rows+"]")
 	alloc(&b.dCV, k, "cv[k]")
-	alloc(&b.dOut, 2, "out[2]")
+	if p.argMin {
+		alloc(&b.dOut, 2, "out[2]")
+	}
+	return b, err
+}
+
+// eachChunk calls fn for every chunk [start, start+count) of the range,
+// counted from lo, and stops at the first error.
+func (p pipeline) eachChunk(fn func(start, count int) error) error {
+	rows := p.hi - p.lo
+	for start := 0; start < rows; start += p.chunk {
+		if err := fn(start, min(p.chunk, rows-start)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// run executes the pipeline on dev up to the per-bandwidth sums in cv:
+// grid upload, allocation, x and y upload, the main-kernel chunks and the
+// k reductions. ctx is polled before every chunk and every reduction.
+func (p pipeline) run(ctx context.Context, dev *gpu.Device, x, y []float64, g bandwidth.Grid, opt GPUOptions) (pipelineBuffers, gpu.Tally, error) {
+	// Constant memory: the bandwidth grid. The 8 KB cached working set
+	// caps this at 2,048 float32 values, the paper's hard limit on k.
+	bwSym, err := dev.UploadConstant("bandwidths", toF32(g.H))
 	if err != nil {
-		return pipelineBuffers{}, err
+		return pipelineBuffers{}, gpu.Tally{}, err
 	}
-	return b, nil
+	b, err := p.alloc(dev)
+	if err != nil {
+		return pipelineBuffers{}, gpu.Tally{}, err
+	}
+	b.bw = bwSym
+	if err := dev.CopyToDevice(b.dX, toF32(x)); err != nil {
+		return pipelineBuffers{}, gpu.Tally{}, err
+	}
+	if err := dev.CopyToDevice(b.dY, toF32(y)); err != nil {
+		return pipelineBuffers{}, gpu.Tally{}, err
+	}
+
+	var mainTally gpu.Tally
+	err = p.eachChunk(func(start, count int) error {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		t, err := p.launchMainKernel(dev, b, start, count, opt)
+		mainTally.Add(t)
+		return err
+	})
+	if err != nil {
+		return pipelineBuffers{}, gpu.Tally{}, err
+	}
+
+	// One summation reduction per bandwidth (paper: "a summation
+	// reduction is performed k times, once for each bandwidth").
+	// Compensated runs use the Kahan strided fold; the NoIndexSwitch
+	// ablation keeps the plain strided reduction in both modes, since it
+	// exists to reproduce the original program's memory traffic.
+	rows := p.hi - p.lo
+	redDim := reduceDim(opt.ReduceDim, rows)
+	for jh := 0; jh < p.k; jh++ {
+		if err := ctx.Err(); err != nil {
+			return pipelineBuffers{}, gpu.Tally{}, err
+		}
+		switch {
+		case opt.NoIndexSwitch:
+			err = cuda.SumReduceStrided(dev, b.dResid, jh, rows, p.k, b.dCV, jh, redDim)
+		case opt.Uncompensated:
+			err = cuda.SumReduce(dev, b.dResid, jh*rows, rows, b.dCV, jh, redDim)
+		default:
+			err = cuda.SumReduceKahan(dev, b.dResid, jh*rows, rows, b.dCV, jh, redDim)
+		}
+		if err != nil {
+			return pipelineBuffers{}, gpu.Tally{}, err
+		}
+	}
+	return b, mainTally, nil
 }
 
-func freePipeline(dev *gpu.Device, b pipelineBuffers) {
-	for _, buf := range []gpu.Buffer{b.dX, b.dY, b.dAbsD, b.dYM, b.dSumY, b.dSumYD2, b.dSumD2, b.dCnt, b.dResid, b.dCV, b.dOut} {
-		_ = dev.Free(buf)
-	}
-}
-
-// launchMainKernel runs the paper's main kernel: each thread j fills its
-// row of the distance and Y matrices, sorts them with the iterative
-// QuickSort, performs the incremental bandwidth sweep into the n×k
-// accumulators, and finally writes leave-one-out squared residuals into
-// the residual matrix with switched indices (k groups of n) so the
-// subsequent per-bandwidth reductions read coalesced memory.
-func launchMainKernel(dev *gpu.Device, b pipelineBuffers, bwSym *gpu.ConstSymbol, n, k, blockDim int, noSwitch, uncompensated bool, kern kernel.Kind) (gpu.Tally, error) {
+// launchMainKernel runs the paper's main kernel over one chunk: thread t
+// takes observation j = lo+start+t, fills scratch row t of the distance
+// and Y matrices, sorts them with the iterative QuickSort, performs the
+// incremental bandwidth sweep into accumulator row start+t, and
+// finally writes leave-one-out squared residuals into the residual
+// matrix with switched indices (k groups of hi−lo) so the subsequent
+// per-bandwidth reductions read coalesced memory.
+func (p pipeline) launchMainKernel(dev *gpu.Device, b pipelineBuffers, start, count int, opt GPUOptions) (gpu.Tally, error) {
+	n, k, rows := p.n, p.k, p.hi-p.lo
+	blockDim := opt.BlockDim
 	if blockDim > dev.Props().MaxThreadsPerBlock {
 		blockDim = dev.Props().MaxThreadsPerBlock
 	}
-	if blockDim > n {
-		blockDim = n
+	if blockDim > count {
+		blockDim = count
 	}
-	cfg := gpu.LaunchConfig{GridDim: (n + blockDim - 1) / blockDim, BlockDim: blockDim}
-	attrs := gpu.KernelAttrs{Name: "bandwidthMain", UsesBarrier: false}
+	cfg := gpu.LaunchConfig{GridDim: (count + blockDim - 1) / blockDim, BlockDim: blockDim}
+	attrs := gpu.KernelAttrs{Name: p.kernel, UsesBarrier: false}
 	return dev.Launch(attrs, cfg, func(tc *gpu.ThreadCtx) {
-		j := tc.GlobalID()
-		if j >= n {
+		t := tc.GlobalID()
+		if t >= count {
 			return
 		}
+		row := start + t
+		j := p.lo + row
 		xs := tc.GlobalSlice(b.dX, 0, n)
 		ys := tc.GlobalSlice(b.dY, 0, n)
-		absRow := tc.GlobalSlice(b.dAbsD, j*n, n)
-		yRow := tc.GlobalSlice(b.dYM, j*n, n)
+		absRow := tc.GlobalSlice(b.dAbsD, t*n, n)
+		yRow := tc.GlobalSlice(b.dYM, t*n, n)
 
 		// Phase 1: fill. Reads of X/Y are warp-broadcast (every thread
 		// reads the same element per iteration) and charge as
@@ -319,19 +412,19 @@ func launchMainKernel(dev *gpu.Device, b pipelineBuffers, bwSym *gpu.ConstSymbol
 		// are per-thread registers, so the stabilised sweep costs extra
 		// flops but no extra memory traffic. The stored per-bandwidth
 		// snapshots stay plain float32, as the matrices' layout demands.
-		sy := compAcc32{plain: uncompensated}
-		syAux := compAcc32{plain: uncompensated}
-		sAux := compAcc32{plain: uncompensated}
+		sy := compAcc32{plain: opt.Uncompensated}
+		syAux := compAcc32{plain: opt.Uncompensated}
+		sAux := compAcc32{plain: opt.Uncompensated}
 		cnt := 0
 		ptr := 0
 		sweepReads := 0
 		for jh := 0; jh < k; jh++ {
-			h := tc.Const(bwSym, jh)
+			h := tc.Const(b.bw, jh)
 			for ptr < n && absRow[ptr] <= h {
 				d := absRow[ptr]
 				yv := yRow[ptr]
 				sy.add(yv)
-				switch kern {
+				switch opt.Kernel {
 				case kernel.Uniform:
 					// count and Σy suffice
 				case kernel.Triangular:
@@ -346,13 +439,13 @@ func launchMainKernel(dev *gpu.Device, b pipelineBuffers, bwSym *gpu.ConstSymbol
 				ptr++
 				sweepReads += 2
 			}
-			base := j*k + jh
+			base := row*k + jh
 			tc.Store(b.dSumY, base, sy.sum())
 			tc.Store(b.dSumYD2, base, syAux.sum())
 			tc.Store(b.dSumD2, base, sAux.sum())
 			tc.Store(b.dCnt, base, float32(cnt))
 		}
-		if uncompensated {
+		if opt.Uncompensated {
 			tc.ChargeOps(int64(6*ptr + 2*k))
 		} else {
 			// Compensation quadruples each accumulate: ~4 flops per Add.
@@ -362,13 +455,13 @@ func launchMainKernel(dev *gpu.Device, b pipelineBuffers, bwSym *gpu.ConstSymbol
 
 		// Phase 4: combine the accumulator matrices into leave-one-out
 		// squared residuals. Reads are uncoalesced (stride-k rows);
-		// the residual writes switch indices — resid[jh·n + j] — so
+		// the residual writes switch indices — resid[jh·(hi−lo) + row] — so
 		// that warp-adjacent threads write adjacent addresses
 		// (coalesced), the paper's bank-conflict optimisation.
 		yj := ys[j]
 		for jh := 0; jh < k; jh++ {
-			h := tc.Const(bwSym, jh)
-			base := j*k + jh
+			h := tc.Const(b.bw, jh)
+			base := row*k + jh
 			sY := tc.Load(b.dSumY, base)
 			sYAux := tc.Load(b.dSumYD2, base)
 			sAux := tc.Load(b.dSumD2, base)
@@ -377,7 +470,7 @@ func launchMainKernel(dev *gpu.Device, b pipelineBuffers, bwSym *gpu.ConstSymbol
 			// yj to Σy, K(0)-dependent nothing to the aux sums, and one
 			// to the count.
 			var num, den float32
-			switch kern {
+			switch opt.Kernel {
 			case kernel.Uniform:
 				num = 0.5 * (sY - yj)
 				den = 0.5 * (c - 1)
@@ -394,13 +487,13 @@ func launchMainKernel(dev *gpu.Device, b pipelineBuffers, bwSym *gpu.ConstSymbol
 				r := yj - num/den
 				r2 = r * r
 			}
-			if noSwitch {
+			if opt.NoIndexSwitch {
 				// Ablation: unswitched n×k layout — warp-adjacent
 				// threads write addresses k elements apart.
-				tc.Store(b.dResid, j*k+jh, r2)
+				tc.Store(b.dResid, row*k+jh, r2)
 			} else {
 				tc.SetAccessPattern(gpu.Coalesced)
-				tc.Store(b.dResid, jh*n+j, r2)
+				tc.Store(b.dResid, jh*rows+row, r2)
 				tc.SetAccessPattern(gpu.Uncoalesced)
 			}
 			tc.ChargeOps(10)

@@ -8,7 +8,6 @@ import (
 	"sync"
 
 	"repro/internal/bandwidth"
-	"repro/internal/cuda"
 	"repro/internal/gpu"
 )
 
@@ -17,8 +16,9 @@ import (
 // memory", but the evaluated program uses one. Splitting the SPMD problem
 // across D devices is the obvious completion: each device receives the
 // full X and Y vectors plus scratch and accumulators for its own share of
-// the observations, runs the identical main kernel over that share, and
-// reduces its per-bandwidth partial sums; the host adds the D partial
+// the observations, runs SelectGPU's pipeline over that share (the same
+// main kernel, all of the share's rows resident), and reduces its
+// per-bandwidth partial sums without an arg-min; the host adds the D partial
 // k-vectors and picks the arg-min. Devices run concurrently, so the
 // modelled wall time is the maximum of the per-device clocks, and — as a
 // bonus the paper's future-work section would appreciate — the per-device
@@ -110,6 +110,9 @@ func SelectGPUFleetContext(ctx context.Context, x, y []float64, g bandwidth.Grid
 	if err := ctx.Err(); err != nil {
 		return MultiGPUResult{}, err
 	}
+	if err := checkDeviceKernel(opt.Kernel); err != nil {
+		return MultiGPUResult{}, err
+	}
 	opt = opt.withDefaults()
 	n := len(x)
 	k := g.Len()
@@ -193,7 +196,7 @@ func SelectGPUFleetContext(ctx context.Context, x, y []float64, g bandwidth.Grid
 					if ctx.Err() != nil {
 						return // the round loop surfaces ctx.Err()
 					}
-					sums, sec, peak, err := runFleetShard(ctx, m, di, x, y, g, s.start, s.count, opt)
+					sums, sec, peak, err := runDeviceShare(ctx, m, di, x, y, g, s.start, s.count, opt)
 					mu.Lock()
 					if err != nil {
 						switch {
@@ -293,162 +296,27 @@ func combineFleetPartials(g bandwidth.Grid, partial [][]float32, total []float64
 	return bandwidth.Best(g, total)
 }
 
-// runFleetShard opens a fresh context on fleet device di and runs one
-// shard's share of the pipeline on it.
-func runFleetShard(ctx context.Context, m gpu.Manager, di int, x, y []float64, g bandwidth.Grid, start, count int, opt GPUOptions) ([]float32, float64, int64, error) {
+// runDeviceShare opens a fresh context on fleet device di and runs one
+// share [start, start+count) of the pipeline on it, with all of the
+// share's rows resident at once. It returns the share's per-bandwidth
+// partial residual sums, the device's modelled seconds and its memory
+// peak.
+func runDeviceShare(ctx context.Context, m gpu.Manager, di int, x, y []float64, g bandwidth.Grid, start, count int, opt GPUOptions) ([]float32, float64, int64, error) {
 	dev, err := m.Open(di)
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	return runDeviceShare(ctx, dev, x, y, g, start, count, opt)
-}
-
-// runDeviceShare executes one device's share [start, start+count) of the
-// pipeline and returns its per-bandwidth partial residual sums.
-func runDeviceShare(ctx context.Context, dev *gpu.Device, x, y []float64, g bandwidth.Grid, start, count int, opt GPUOptions) ([]float32, float64, int64, error) {
-	n := len(x)
 	k := g.Len()
-	bwSym, err := dev.UploadConstant("bandwidths", toF32(g.H))
+	p, err := newPipeline(shareShape, len(x), k, start, start+count, count, opt.Props)
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	var dX, dY, dAbsD, dYM, dSumY, dSumYD2, dSumD2, dCnt, dResid, dCV gpu.Buffer
-	alloc := func(dst *gpu.Buffer, elems int, label string) {
-		if err != nil {
-			return
-		}
-		*dst, err = dev.Malloc(elems, label)
-	}
-	alloc(&dX, n, "x")
-	alloc(&dY, n, "y")
-	alloc(&dAbsD, count*n, "absdiff[share×n]")
-	alloc(&dYM, count*n, "ymatrix[share×n]")
-	alloc(&dSumY, count*k, "sumY[share×k]")
-	alloc(&dSumYD2, count*k, "sumYd2[share×k]")
-	alloc(&dSumD2, count*k, "sumD2[share×k]")
-	alloc(&dCnt, count*k, "count[share×k]")
-	alloc(&dResid, k*count, "resid[k×share]")
-	alloc(&dCV, k, "cv[k]")
+	b, _, err := p.run(ctx, dev, x, y, g, opt)
 	if err != nil {
 		return nil, 0, 0, err
-	}
-	if err := dev.CopyToDevice(dX, toF32(x)); err != nil {
-		return nil, 0, 0, err
-	}
-	if err := dev.CopyToDevice(dY, toF32(y)); err != nil {
-		return nil, 0, 0, err
-	}
-
-	blockDim := opt.BlockDim
-	if blockDim > dev.Props().MaxThreadsPerBlock {
-		blockDim = dev.Props().MaxThreadsPerBlock
-	}
-	if blockDim > count {
-		blockDim = count
-	}
-	cfg := gpu.LaunchConfig{GridDim: (count + blockDim - 1) / blockDim, BlockDim: blockDim}
-	attrs := gpu.KernelAttrs{Name: "bandwidthMainShare", UsesBarrier: false}
-	_, err = dev.Launch(attrs, cfg, func(tc *gpu.ThreadCtx) {
-		t := tc.GlobalID()
-		if t >= count {
-			return
-		}
-		j := start + t
-		xs := tc.GlobalSlice(dX, 0, n)
-		ys := tc.GlobalSlice(dY, 0, n)
-		absRow := tc.GlobalSlice(dAbsD, t*n, n)
-		yRow := tc.GlobalSlice(dYM, t*n, n)
-
-		xj := xs[j]
-		for i := 0; i < n; i++ {
-			d := xs[i] - xj
-			if d < 0 {
-				d = -d
-			}
-			absRow[i] = d
-			yRow[i] = ys[i]
-		}
-		tc.ChargeOps(int64(3 * n))
-		tc.SetAccessPattern(gpu.Coalesced)
-		tc.ChargeGlobalRead(int64(2*n+1) * 4)
-		tc.SetAccessPattern(gpu.Uncoalesced)
-		tc.ChargeGlobalWrite(int64(2*n) * 4)
-
-		sc := cuda.DeviceQuickSort(absRow, yRow)
-		cuda.ChargeSort(tc, sc)
-
-		sy := compAcc32{plain: opt.Uncompensated}
-		syd2 := compAcc32{plain: opt.Uncompensated}
-		sd2 := compAcc32{plain: opt.Uncompensated}
-		cnt := 0
-		ptr := 0
-		sweepReads := 0
-		for jh := 0; jh < k; jh++ {
-			h := tc.Const(bwSym, jh)
-			for ptr < n && absRow[ptr] <= h {
-				d := absRow[ptr]
-				d2 := d * d
-				yv := yRow[ptr]
-				sy.add(yv)
-				syd2.add(yv * d2)
-				sd2.add(d2)
-				cnt++
-				ptr++
-				sweepReads += 2
-			}
-			base := t*k + jh
-			tc.Store(dSumY, base, sy.sum())
-			tc.Store(dSumYD2, base, syd2.sum())
-			tc.Store(dSumD2, base, sd2.sum())
-			tc.Store(dCnt, base, float32(cnt))
-		}
-		if opt.Uncompensated {
-			tc.ChargeOps(int64(6*ptr + 2*k))
-		} else {
-			tc.ChargeOps(int64(15*ptr + 2*k))
-		}
-		tc.ChargeGlobalRead(int64(sweepReads) * 4)
-
-		yj := ys[j]
-		for jh := 0; jh < k; jh++ {
-			h := tc.Const(bwSym, jh)
-			base := t*k + jh
-			sY := tc.Load(dSumY, base)
-			sYD2 := tc.Load(dSumYD2, base)
-			sD2 := tc.Load(dSumD2, base)
-			c := tc.Load(dCnt, base)
-			h2 := h * h
-			den := 0.75 * ((c - 1) - sD2/h2)
-			var r2 float32
-			if den > 0 {
-				num := 0.75 * ((sY - yj) - sYD2/h2)
-				r := yj - num/den
-				r2 = r * r
-			}
-			tc.SetAccessPattern(gpu.Coalesced)
-			tc.Store(dResid, jh*count+t, r2)
-			tc.SetAccessPattern(gpu.Uncoalesced)
-			tc.ChargeOps(10)
-		}
-	})
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	redDim := reduceDim(opt.ReduceDim, count)
-	sumReduce := cuda.SumReduceKahan
-	if opt.Uncompensated {
-		sumReduce = cuda.SumReduce
-	}
-	for jh := 0; jh < k; jh++ {
-		if err := ctx.Err(); err != nil {
-			return nil, 0, 0, err
-		}
-		if err := sumReduce(dev, dResid, jh*count, count, dCV, jh, redDim); err != nil {
-			return nil, 0, 0, err
-		}
 	}
 	sums := make([]float32, k)
-	if err := dev.CopyFromDevice(sums, dCV); err != nil {
+	if err := dev.CopyFromDevice(sums, b.dCV); err != nil {
 		return nil, 0, 0, err
 	}
 	return sums, dev.Clock().Seconds(), dev.MemInfo().Peak, nil
@@ -475,7 +343,7 @@ func PlanGPUMulti(n, k, devices int, props gpu.Properties) (Plan, int, error) {
 		if count <= 0 {
 			continue
 		}
-		p, err := planDeviceShare(n, k, count, props)
+		p, _, err := planPipeline(shareShape, n, k, start, start+count, count, props)
 		if err != nil {
 			return Plan{}, 0, fmt.Errorf("device %d: %w", d, err)
 		}
@@ -485,55 +353,4 @@ func PlanGPUMulti(n, k, devices int, props gpu.Properties) (Plan, int, error) {
 	}
 	worst.N, worst.K = n, k
 	return worst, devices, nil
-}
-
-func planDeviceShare(n, k, count int, props gpu.Properties) (Plan, error) {
-	dev, err := gpu.NewDevice(props, gpu.Planning)
-	if err != nil {
-		return Plan{}, err
-	}
-	if _, err := dev.UploadConstant("bandwidths", make([]float32, k)); err != nil {
-		return Plan{}, err
-	}
-	sizes := []struct {
-		elems int
-		label string
-	}{
-		{n, "x"}, {n, "y"},
-		{count * n, "absdiff[share×n]"}, {count * n, "ymatrix[share×n]"},
-		{count * k, "sumY"}, {count * k, "sumYd2"}, {count * k, "sumD2"}, {count * k, "count"},
-		{k * count, "resid"}, {k, "cv"},
-	}
-	var bufX, bufY gpu.Buffer
-	for i, sz := range sizes {
-		b, err := dev.Malloc(sz.elems, sz.label)
-		if err != nil {
-			return Plan{}, err
-		}
-		switch i {
-		case 0:
-			bufX = b
-		case 1:
-			bufY = b
-		}
-	}
-	host := make([]float32, n)
-	if err := dev.CopyToDevice(bufX, host); err != nil {
-		return Plan{}, err
-	}
-	if err := dev.CopyToDevice(bufY, host); err != nil {
-		return Plan{}, err
-	}
-	dev.LaunchPlanned("bandwidthMainShare", mainKernelPlanThreads(count, n, k, props))
-	redDim := reduceDim(props.MaxThreadsPerBlock, count)
-	for jh := 0; jh < k; jh++ {
-		dev.LaunchPlanned("sumReduce", SumReducePlan(count, redDim, props))
-	}
-	return Plan{
-		N: n, K: k,
-		Seconds:     dev.Clock().Seconds(),
-		Mem:         dev.MemInfo(),
-		TimeByLabel: dev.Clock().ByLabel(),
-		KernelTally: dev.Stats().KernelTally,
-	}, nil
 }

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/gpu"
+	"repro/internal/kernel"
 	"repro/internal/mathx"
 )
 
@@ -31,6 +33,30 @@ func TestMultiGPUMatchesSingle(t *testing.T) {
 		if len(multi.DeviceSeconds) != devices || multi.ModelSeconds <= 0 {
 			t.Errorf("devices=%d: timing bookkeeping %+v", devices, multi.DeviceSeconds)
 		}
+	}
+	// One device runs the single-device kernel over the whole sample, so
+	// for every device kernel its scores are SelectGPU's bit for bit.
+	for _, kn := range []kernel.Kind{kernel.Epanechnikov, kernel.Uniform, kernel.Triangular} {
+		opt := GPUOptions{Kernel: kn, KeepScores: true}
+		want, _, err := SelectGPU(d.X, d.Y, g, opt)
+		if err != nil {
+			t.Fatalf("%v: %v", kn, err)
+		}
+		got, err := SelectGPUMulti(d.X, d.Y, g, 1, opt)
+		if err != nil {
+			t.Fatalf("%v: %v", kn, err)
+		}
+		for j := range want.Scores {
+			if math.Float64bits(got.Scores[j]) != math.Float64bits(want.Scores[j]) {
+				t.Errorf("%v h#%d: fleet %v vs single %v", kn, j, got.Scores[j], want.Scores[j])
+				break
+			}
+		}
+	}
+	_, _, want := SelectGPU(d.X, d.Y, g, GPUOptions{Kernel: kernel.Gaussian})
+	_, got := SelectGPUMulti(d.X, d.Y, g, 2, GPUOptions{Kernel: kernel.Gaussian})
+	if want == nil || got == nil || got.Error() != want.Error() {
+		t.Errorf("gaussian: fleet error %v, single-device error %v", got, want)
 	}
 }
 

@@ -162,69 +162,98 @@ type Plan struct {
 // both capacity cliffs — it returns gpu.ErrOutOfMemory (wrapped) above
 // the n×n memory wall and gpu.ErrConstCacheExceeded for k > 2,048.
 func PlanGPU(n, k int, props gpu.Properties) (Plan, error) {
+	p, _, err := planPipeline(untiledShape, n, k, 0, n, n, props)
+	if err != nil {
+		return Plan{}, err
+	}
+	p.ConstBytes, p.ReduceBlocks = k*4, k+1
+	return p, nil
+}
+
+// planPipeline costs one pipeline run (see newPipeline for chunk) in
+// planning mode, mirroring the functional sequence: grid upload,
+// allocation, x and y upload, one planned launch per chunk, k
+// reductions and, for shapes that pick the winner on the device, the
+// arg-min and the copy of out[2]. It returns the chunk size used.
+func planPipeline(shape launchShape, n, k, lo, hi, chunk int, props gpu.Properties) (Plan, int, error) {
 	dev, err := gpu.NewDevice(props, gpu.Planning)
 	if err != nil {
-		return Plan{}, err
+		return Plan{}, 0, err
+	}
+	p, err := newPipeline(shape, n, k, lo, hi, chunk, props)
+	if err != nil {
+		return Plan{}, 0, err
 	}
 	if _, err := dev.UploadConstant("bandwidths", make([]float32, k)); err != nil {
-		return Plan{}, err
+		return Plan{}, 0, err
 	}
-	bufs, err := allocPipeline(dev, n, k)
+	b, err := p.alloc(dev)
 	if err != nil {
-		return Plan{}, err
+		return Plan{}, 0, err
 	}
 	host := make([]float32, n)
-	if err := dev.CopyToDevice(bufs.dX, host); err != nil {
-		return Plan{}, err
+	if err := dev.CopyToDevice(b.dX, host); err != nil {
+		return Plan{}, 0, err
 	}
-	if err := dev.CopyToDevice(bufs.dY, host); err != nil {
-		return Plan{}, err
+	if err := dev.CopyToDevice(b.dY, host); err != nil {
+		return Plan{}, 0, err
 	}
-	dev.LaunchPlanned("bandwidthMain", MainKernelPlan(n, k, props))
-	redDim := reduceDim(props.MaxThreadsPerBlock, n)
+	_ = p.eachChunk(func(_, count int) error {
+		dev.LaunchPlanned(p.kernel, mainKernelPlanThreads(count, n, k, props))
+		return nil
+	})
+	rows := hi - lo
+	redDim := reduceDim(props.MaxThreadsPerBlock, rows)
 	for jh := 0; jh < k; jh++ {
-		dev.LaunchPlanned("sumReduce", SumReducePlan(n, redDim, props))
+		dev.LaunchPlanned("sumReduce", SumReducePlan(rows, redDim, props))
 	}
-	argDim := reduceDim(props.MaxThreadsPerBlock, k)
-	dev.LaunchPlanned("argMinReduce", ArgMinPlan(k, argDim, props))
-	out := make([]float32, 2)
-	if err := dev.CopyFromDevice(out, bufs.dOut); err != nil {
-		return Plan{}, err
+	if p.argMin {
+		argDim := reduceDim(props.MaxThreadsPerBlock, k)
+		dev.LaunchPlanned("argMinReduce", ArgMinPlan(k, argDim, props))
+		if err := dev.CopyFromDevice(make([]float32, 2), b.dOut); err != nil {
+			return Plan{}, 0, err
+		}
 	}
 	mem := dev.MemInfo()
-	freePipeline(dev, bufs)
+	if p.free {
+		for _, buf := range []gpu.Buffer{b.dX, b.dY, b.dAbsD, b.dYM, b.dSumY, b.dSumYD2, b.dSumD2, b.dCnt, b.dResid, b.dCV, b.dOut} {
+			_ = dev.Free(buf)
+		}
+	}
 	return Plan{
-		N:            n,
-		K:            k,
-		Seconds:      dev.Clock().Seconds(),
-		Mem:          mem,
-		TimeByLabel:  dev.Clock().ByLabel(),
-		KernelTally:  dev.Stats().KernelTally,
-		ConstBytes:   k * 4,
-		ReduceBlocks: k + 1,
-	}, nil
+		N:           n,
+		K:           k,
+		Seconds:     dev.Clock().Seconds(),
+		Mem:         mem,
+		TimeByLabel: dev.Clock().ByLabel(),
+		KernelTally: dev.Stats().KernelTally,
+	}, p.chunk, nil
 }
 
 // MaxFeasibleN returns the largest sample size whose pipeline fits in the
 // device's global memory, found by bisection over PlanGPU's allocator —
 // the paper's empirical answer is 20,000 on its 4 GB device.
 func MaxFeasibleN(k int, props gpu.Properties, hi int) int {
-	lo := 2
-	if fitsOnDevice(hi, k, props) {
+	return maxFitting(hi, func(n int) bool {
+		_, err := PlanGPU(n, k, props)
+		return err == nil
+	})
+}
+
+// maxFitting returns hi when fits(hi), else the largest n in [2, hi)
+// that fits, by bisection.
+func maxFitting(hi int, fits func(n int) bool) int {
+	if fits(hi) {
 		return hi
 	}
+	lo := 2
 	for hi-lo > 1 {
 		mid := lo + (hi-lo)/2
-		if fitsOnDevice(mid, k, props) {
+		if fits(mid) {
 			lo = mid
 		} else {
 			hi = mid
 		}
 	}
 	return lo
-}
-
-func fitsOnDevice(n, k int, props gpu.Properties) bool {
-	_, err := PlanGPU(n, k, props)
-	return err == nil
 }

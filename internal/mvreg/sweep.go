@@ -5,9 +5,11 @@
 //   - one co-sort per axis gives, for every observation, its neighbours
 //     in ascending axis distance as the merge of a left and a right run
 //     in the sorted order — no per-observation sort;
+//
 //   - the other dimensions' product-kernel weights ride along as
 //     observation weights w̃_l, so the swept axis sees a weighted
 //     univariate problem;
+//
 //   - the Epanechnikov prefix decomposition then serves every candidate
 //     bandwidth of the swept axis from four compensated prefix sums:
 //

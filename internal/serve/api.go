@@ -146,10 +146,10 @@ const (
 // maxBodyBytes bounds every request body: room for the largest array
 // set an admissible request carries — x, y and points on
 // /v1/fit-predict; x, y and the grid on /v1/shard; and an mv
-// x_matrix of mvMaxN rows of mvMaxDim coordinates plus y, which is
-// capped by mvMaxN rather than MaxN — at bytesPerNumber each.
+// x_matrix of mvRowCap rows of mvMaxDim coordinates plus y — at
+// bytesPerNumber each.
 func (c Config) maxBodyBytes() int64 {
-	numbers := max(3*c.MaxN, 2*c.MaxN+c.MaxGrid, (mvMaxDim+1)*mvMaxN)
+	numbers := max(3*c.MaxN, 2*c.MaxN+c.MaxGrid, (mvMaxDim+1)*c.mvRowCap())
 	return int64(numbers)*bytesPerNumber + bodySlack
 }
 

@@ -34,6 +34,10 @@ const (
 	defaultMVGrid = 20
 )
 
+// mvRowCap is the effective mv row limit: mvMaxN, or MaxN when that is
+// lower, so a server's -max-n bounds mv work like every other method's.
+func (c Config) mvRowCap() int { return min(mvMaxN, c.MaxN) }
+
 // checkMVSelect validates a "method": "mv" request. All failures are
 // 4xx by construction.
 func checkMVSelect(req *SelectRequest, cfg Config) *httpError {
@@ -65,8 +69,8 @@ func checkMVSelect(req *SelectRequest, cfg Config) *httpError {
 	if n < 2 {
 		return badRequest("need at least 2 observations, have %d", n)
 	}
-	if n > mvMaxN {
-		return tooLarge("n=%d exceeds the mv limit of %d observations", n, mvMaxN)
+	if maxN := cfg.mvRowCap(); n > maxN {
+		return tooLarge("n=%d exceeds the mv limit of %d observations", n, maxN)
 	}
 	d := len(req.XMatrix[0])
 	if d == 0 {

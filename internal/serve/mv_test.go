@@ -67,16 +67,14 @@ func TestMVSelectEndpointMatchesDirectCall(t *testing.T) {
 	}
 }
 
-// mvBodyAt is a "method": "mv" mesh body of mvMaxN rows of mvMaxDim
-// coordinates — the largest arrays an admissible request carries once
-// MaxN is below mvMaxN — with every number written out to 30 or 31
-// characters, padded with spaces inside the object to exactly size
-// bytes.
-func mvBodyAt(t *testing.T, size int64) []byte {
+// mvBodyAt is a "method": "mv" mesh body of rows rows of mvMaxDim
+// coordinates, with every number written out to 30 or 31 characters,
+// padded with spaces inside the object to exactly size bytes.
+func mvBodyAt(t *testing.T, rows int, size int64) []byte {
 	t.Helper()
 	var b strings.Builder
 	b.WriteString(`{"method":"mv","mesh":true,"grid_size":1,"x_matrix":[`)
-	for i := 0; i < mvMaxN; i++ {
+	for i := 0; i < rows; i++ {
 		if i > 0 {
 			b.WriteByte(',')
 		}
@@ -90,7 +88,7 @@ func mvBodyAt(t *testing.T, size int64) []byte {
 		b.WriteByte(']')
 	}
 	b.WriteString(`],"y":[`)
-	for i := 0; i < mvMaxN; i++ {
+	for i := 0; i < rows; i++ {
 		if i > 0 {
 			b.WriteByte(',')
 		}
@@ -108,9 +106,9 @@ func mvBodyAt(t *testing.T, size int64) []byte {
 
 // TestMVSelectRejections pins the exact 4xx status and message for every
 // invalid mv request shape, and the body limit at its edge: a body of
-// exactly Config.maxBodyBytes carrying the largest admissible arrays is
-// served, one byte more is a 413. MaxN is below mvMaxN, so the mv arrays
-// are the largest any admissible request carries.
+// exactly Config.maxBodyBytes carrying the largest admissible mv arrays
+// is served, one byte more is a 413. MaxN is below mvMaxN, so it is also
+// the mv row cap.
 func TestMVSelectRejections(t *testing.T) {
 	srv := New(Config{Workers: 1, MaxN: 16})
 	limit := srv.cfg.maxBodyBytes()
@@ -119,6 +117,7 @@ func TestMVSelectRejections(t *testing.T) {
 	defer srv.Drain(context.Background())
 
 	x, y := mvTestMatrix(16, 5)
+	x17, y17 := mvTestMatrix(17, 5)
 	bigX := make([][]float64, mvMaxN+1)
 	bigY := make([]float64, mvMaxN+1)
 	for i := range bigX {
@@ -155,7 +154,9 @@ func TestMVSelectRejections(t *testing.T) {
 		{"too-few-rows", SelectRequest{Method: "mv", XMatrix: x[:1], Y: y[:1]},
 			http.StatusBadRequest, `need at least 2 observations, have 1`},
 		{"too-many-rows", SelectRequest{Method: "mv", XMatrix: bigX, Y: bigY},
-			http.StatusRequestEntityTooLarge, `n=4097 exceeds the mv limit of 4096 observations`},
+			http.StatusRequestEntityTooLarge, `n=4097 exceeds the mv limit of 16 observations`},
+		{"rows-over-max-n", SelectRequest{Method: "mv", XMatrix: x17, Y: y17},
+			http.StatusRequestEntityTooLarge, `n=17 exceeds the mv limit of 16 observations`},
 		{"empty-row", SelectRequest{Method: "mv", XMatrix: [][]float64{{}, {}}, Y: []float64{1, 2}},
 			http.StatusBadRequest, `x_matrix rows must have at least 1 coordinate`},
 		{"too-wide", SelectRequest{Method: "mv", XMatrix: [][]float64{wideRow, wideRow}, Y: []float64{1, 2}},
@@ -172,9 +173,9 @@ func TestMVSelectRejections(t *testing.T) {
 			http.StatusBadRequest, `bags, bag_size and seed require "method": "bagged", got "mv"`},
 		{"zero-domain-dimension", SelectRequest{Method: "mv", XMatrix: [][]float64{{1, 5}, {2, 5}, {3, 5}}, Y: []float64{1, 2, 3}},
 			http.StatusBadRequest, `mvreg: dimension 1 has zero domain`},
-		{"largest-admissible-body", rawBody(mvBodyAt(t, limit)), http.StatusOK, ""},
-		{"oversized-body", rawBody(mvBodyAt(t, limit+1)),
-			http.StatusRequestEntityTooLarge, `request body exceeds the limit of 1245184 bytes`},
+		{"largest-admissible-body", rawBody(mvBodyAt(t, 16, limit)), http.StatusOK, ""},
+		{"oversized-body", rawBody(mvBodyAt(t, 16, limit+1)),
+			http.StatusRequestEntityTooLarge, `request body exceeds the limit of 132096 bytes`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -203,6 +204,21 @@ func TestMVSelectRejections(t *testing.T) {
 }
 
 func intPtr(v int) *int { return &v }
+
+// At the default MaxN the mv row cap is mvMaxN itself, and the body limit
+// is set by /v1/fit-predict's three MaxN arrays, not by mv.
+func TestMVRowCapAtDefaultMaxN(t *testing.T) {
+	cfg := Config{}.withDefaults()
+	if got := cfg.maxBodyBytes(); got != 9_665_536 {
+		t.Errorf("default body limit %d bytes, want 9665536", got)
+	}
+	x, y := mvTestMatrix(mvMaxN+1, 5)
+	herr := checkMVSelect(&SelectRequest{Method: "mv", XMatrix: x, Y: y}, cfg)
+	want := "n=4097 exceeds the mv limit of 4096 observations"
+	if herr == nil || herr.status != http.StatusRequestEntityTooLarge || herr.msg != want {
+		t.Errorf("4097 rows at the default MaxN: %+v, want 413 %q", herr, want)
+	}
+}
 
 // Non-finite coordinates cannot ride through json.Marshal (JSON has no
 // Inf/NaN literals), so the finiteness rejections are exercised with a
